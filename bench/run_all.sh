@@ -54,7 +54,6 @@ overhead:bench_overhead:
 sensitivity:bench_sensitivity:
 ablation:bench_ablation:
 crossrun:bench_crossrun:
-dispatch:bench_dispatch:
 fleet:bench_fleet:
 openworld:bench_openworld:
 serve:bench_serve:
@@ -156,16 +155,6 @@ if [ "$CHECK" = 1 ]; then
     "$WARMUP" "$RESULTS"
   else
     echo "note: $WARMUP not built, skipping series report"
-  fi
-  # Superinstruction coverage: evm-prof re-derives the fusion report from
-  # the dispatch.* gauges of bench_dispatch's document (and exits nonzero
-  # if the embedded identity gate recorded a divergence).
-  PROF="$BUILD_DIR/tools/evm-prof"
-  if [ -x "$PROF" ] && [ -f "$OUT_DIR/dispatch.json" ]; then
-    echo "== superinstruction coverage (evm-prof --fusion) =="
-    "$PROF" --fusion "$OUT_DIR/dispatch.json"
-  else
-    echo "note: evm-prof or dispatch document missing, skipping fusion report"
   fi
   # Decision-ledger analytics: bench_openworld drops a _decisions.jsonl
   # sibling; evm-explain must independently reproduce the suite's drift

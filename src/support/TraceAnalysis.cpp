@@ -268,17 +268,3 @@ std::string evm::renderEvolveDiff(const ParsedTrace &Trace) {
                         static_cast<unsigned long long>(Outcomes));
   return Out;
 }
-
-std::vector<uint64_t>
-evm::methodWeightsFromTrace(const std::vector<TraceEvent> &Events,
-                            size_t NumMethods) {
-  std::vector<uint64_t> Weights(NumMethods, 0);
-  for (const TraceEvent &E : Events) {
-    if (E.Kind != TraceEventKind::MethodInvoke &&
-        E.Kind != TraceEventKind::ProfileSample)
-      continue;
-    if (E.Method < NumMethods)
-      ++Weights[E.Method];
-  }
-  return Weights;
-}

@@ -53,17 +53,6 @@ std::string renderCompileAccounting(const ParsedTrace &Trace);
 /// cycles-at-optimized-level gained in predicted runs vs reactive runs.
 std::string renderEvolveDiff(const ParsedTrace &Trace);
 
-/// Per-method execution weights mined from a trace: each method's
-/// method.invoke count plus its profile.sample count (samples proxy for
-/// cycles spent, invokes keep short-but-hot helpers visible).  Result has
-/// \p NumMethods entries (events naming methods beyond that are ignored).
-/// These weights feed superinstruction-table mining
-/// (vm/Superinst.h mineSuperinstTable): trace -> hot methods -> fused
-/// pairs.  Deterministic for a fixed event sequence.
-std::vector<uint64_t>
-methodWeightsFromTrace(const std::vector<TraceEvent> &Events,
-                       size_t NumMethods);
-
 } // namespace evm
 
 #endif // EVM_SUPPORT_TRACEANALYSIS_H

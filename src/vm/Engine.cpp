@@ -5,7 +5,6 @@
 #include "vm/Eval.h"
 
 #include <cassert>
-#include <cstring>
 
 using namespace evm;
 using namespace evm::vm;
@@ -91,30 +90,7 @@ void splitPassCycles(PhaseProfiler &P, const jit::CompiledFunction &Code,
 
 ExecutionEngine::ExecutionEngine(const bc::Module &M, const TimingModel &TM,
                                  CompilationPolicy *Policy)
-    : M(M), TM(TM), Policy(Policy), DispMode(processDispatchMode()),
-      FusionTable(defaultSuperinstTable()) {
-  decodeAll();
-}
-
-void ExecutionEngine::setDispatchMode(DispatchMode Mode,
-                                      const SuperinstTable *Table) {
-  DispMode = Mode;
-  if (Table)
-    FusionTable = *Table;
-  decodeAll();
-}
-
-void ExecutionEngine::decodeAll() {
-  Decoded.clear();
-  if (DispMode == DispatchMode::Switch)
-    return; // the reference interpreter reads bytecode directly
-  uint64_t Mask =
-      DispMode == DispatchMode::Fused ? FusionTable.enabledMask() : 0;
-  Decoded.reserve(M.numFunctions());
-  for (size_t Id = 0; Id != M.numFunctions(); ++Id)
-    Decoded.push_back(
-        decodeFunction(M.function(static_cast<MethodId>(Id)), TM, Mask));
-}
+    : M(M), TM(TM), Policy(Policy) {}
 
 void ExecutionEngine::setTracer(TraceRecorder *T) {
   Tracer = T;
@@ -407,14 +383,6 @@ std::optional<Value> ExecutionEngine::invoke(MethodId Id,
 std::optional<Value>
 ExecutionEngine::interpret(MethodId Id, const std::vector<Value> &Args,
                            int Depth) {
-  if (DispMode == DispatchMode::Switch)
-    return interpretSwitch(Id, Args, Depth);
-  return interpretDecoded(Id, Args, Depth);
-}
-
-std::optional<Value>
-ExecutionEngine::interpretSwitch(MethodId Id, const std::vector<Value> &Args,
-                                 int Depth) {
   const bc::Function &F = M.function(Id);
   assert(Args.size() == F.NumParams && "arity mismatch");
 
@@ -433,7 +401,6 @@ ExecutionEngine::interpretSwitch(MethodId Id, const std::vector<Value> &Args,
     assert(Pc < F.Code.size() && "pc out of range (verifier?)");
     const Instr &I = F.Code[Pc];
     charge(TM.InterpDispatchCycles + scalarOpCost(I.Op));
-    ++DStats.Instrs; // host-side counter; never in RunResult
 
     switch (I.Op) {
     case Opcode::ConstInt:
@@ -572,353 +539,6 @@ ExecutionEngine::interpretSwitch(MethodId Id, const std::vector<Value> &Args,
     }
   }
 }
-
-//===----------------------------------------------------------------------===//
-// The decoded interpreter (Threaded/Fused modes)
-//
-// One handler per opcode plus one per compiled-in superinstruction pair,
-// jumped to by computed goto (EVM_USE_CGOTO) or a dense switch.  The
-// identity discipline: every handler replays interpretSwitch's exact
-// observable sequence — pending-trap check, charge(dispatch + op cost),
-// instruction body — so the virtual clock, sample ticks, trace timestamps
-// and policy inputs are bit-identical in all modes.  Fused handlers charge
-// their two constituents *separately* with a pending-trap check between
-// (a single summed charge would move profiler sample ticks to a different
-// cycle and could change policy decisions).
-//===----------------------------------------------------------------------===//
-
-#if EVM_THREADED_DISPATCH && (defined(__GNUC__) || defined(__clang__))
-#define EVM_USE_CGOTO 1
-#else
-#define EVM_USE_CGOTO 0
-#endif
-
-namespace {
-
-/// Decoded handler ids of the fused pairs, in supported-candidate order:
-/// `bc::NumOpcodes + HPE_A_B` is the pair's DecodedInstr::Handler, and
-/// HPE_A_B indexes DispatchStats::PairExecs.
-enum : uint16_t {
-#define EVM_PAIR_ENUMERATOR(A, B) HPE_##A##_##B,
-  EVM_SUPERINST_PAIRS(EVM_PAIR_ENUMERATOR)
-#undef EVM_PAIR_ENUMERATOR
-};
-
-/// ConstFloat payload (same bit-cast as bc::Instr::floatOperand).
-double floatFromOperand(int64_t Operand) {
-  double D;
-  static_assert(sizeof(D) == sizeof(Operand));
-  std::memcpy(&D, &Operand, sizeof(D));
-  return D;
-}
-
-} // namespace
-
-/// Every opcode, in bc::Opcode enum order (the handler table is indexed by
-/// opcode value).
-#define EVM_FOR_EACH_OPCODE(X)                                                 \
-  X(ConstInt) X(ConstFloat) X(Pop) X(Dup) X(Swap) X(LoadLocal) X(StoreLocal)   \
-  X(Add) X(Sub) X(Mul) X(Div) X(Mod) X(Neg) X(And) X(Or) X(Xor) X(Shl)         \
-  X(Shr) X(Not) X(Eq) X(Ne) X(Lt) X(Le) X(Gt) X(Ge) X(I2F) X(F2I) X(Sqrt)      \
-  X(Sin) X(Cos) X(Floor) X(Abs) X(Min) X(Max) X(Br) X(BrTrue) X(BrFalse)       \
-  X(Call) X(Ret) X(NewArr) X(HLoad) X(HStore) X(Nop)
-
-namespace {
-#define EVM_COUNT_ONE(NAME) +1
-static_assert(0 EVM_FOR_EACH_OPCODE(EVM_COUNT_ONE) == bc::NumOpcodes,
-              "EVM_FOR_EACH_OPCODE out of sync with bc::Opcode");
-#undef EVM_COUNT_ONE
-} // namespace
-
-// EVM_HEAD_<op>(OPND, PC): the instruction body exactly as interpretSwitch
-// executes it — stack effect plus trap handling — with no pc/IP movement,
-// so it serves both as a single handler's body and as the first half of a
-// fused pair.  Bodies `return std::nullopt` on traps, like the switch.
-
-#define EVM_HEAD_ConstInt(OPND, PC) Stack.push_back(Value::makeInt(OPND));
-#define EVM_HEAD_ConstFloat(OPND, PC)                                          \
-  Stack.push_back(Value::makeFloat(floatFromOperand(OPND)));
-#define EVM_HEAD_Pop(OPND, PC) Stack.pop_back();
-#define EVM_HEAD_Dup(OPND, PC) Stack.push_back(Stack.back());
-#define EVM_HEAD_Swap(OPND, PC)                                                \
-  std::swap(Stack[Stack.size() - 1], Stack[Stack.size() - 2]);
-#define EVM_HEAD_LoadLocal(OPND, PC)                                           \
-  Stack.push_back(Locals[static_cast<size_t>(OPND)]);
-#define EVM_HEAD_StoreLocal(OPND, PC)                                          \
-  Locals[static_cast<size_t>(OPND)] = Stack.back();                            \
-  Stack.pop_back();
-#define EVM_HEAD_Nop(OPND, PC)
-
-#define EVM_BINOP_BODY(OPC, PC)                                                \
-  {                                                                            \
-    TrapKind Trap = TrapKind::None;                                            \
-    Value Rhs = Stack.back();                                                  \
-    Stack.pop_back();                                                          \
-    Value Lhs = Stack.back();                                                  \
-    Stack.pop_back();                                                          \
-    auto R = evalBinary(OPC, Lhs, Rhs, Trap);                                  \
-    if (!R) {                                                                  \
-      setTrap(Trap, Id, PC);                                                   \
-      return std::nullopt;                                                     \
-    }                                                                          \
-    Stack.push_back(*R);                                                       \
-  }
-#define EVM_UNOP_BODY(OPC, PC)                                                 \
-  {                                                                            \
-    TrapKind Trap = TrapKind::None;                                            \
-    Value Arg = Stack.back();                                                  \
-    Stack.pop_back();                                                          \
-    auto R = evalUnary(OPC, Arg, Trap);                                        \
-    if (!R) {                                                                  \
-      setTrap(Trap, Id, PC);                                                   \
-      return std::nullopt;                                                     \
-    }                                                                          \
-    Stack.push_back(*R);                                                       \
-  }
-
-#define EVM_HEAD_Add(OPND, PC) EVM_BINOP_BODY(Opcode::Add, PC)
-#define EVM_HEAD_Sub(OPND, PC) EVM_BINOP_BODY(Opcode::Sub, PC)
-#define EVM_HEAD_Mul(OPND, PC) EVM_BINOP_BODY(Opcode::Mul, PC)
-#define EVM_HEAD_Div(OPND, PC) EVM_BINOP_BODY(Opcode::Div, PC)
-#define EVM_HEAD_Mod(OPND, PC) EVM_BINOP_BODY(Opcode::Mod, PC)
-#define EVM_HEAD_And(OPND, PC) EVM_BINOP_BODY(Opcode::And, PC)
-#define EVM_HEAD_Or(OPND, PC) EVM_BINOP_BODY(Opcode::Or, PC)
-#define EVM_HEAD_Xor(OPND, PC) EVM_BINOP_BODY(Opcode::Xor, PC)
-#define EVM_HEAD_Shl(OPND, PC) EVM_BINOP_BODY(Opcode::Shl, PC)
-#define EVM_HEAD_Shr(OPND, PC) EVM_BINOP_BODY(Opcode::Shr, PC)
-#define EVM_HEAD_Eq(OPND, PC) EVM_BINOP_BODY(Opcode::Eq, PC)
-#define EVM_HEAD_Ne(OPND, PC) EVM_BINOP_BODY(Opcode::Ne, PC)
-#define EVM_HEAD_Lt(OPND, PC) EVM_BINOP_BODY(Opcode::Lt, PC)
-#define EVM_HEAD_Le(OPND, PC) EVM_BINOP_BODY(Opcode::Le, PC)
-#define EVM_HEAD_Gt(OPND, PC) EVM_BINOP_BODY(Opcode::Gt, PC)
-#define EVM_HEAD_Ge(OPND, PC) EVM_BINOP_BODY(Opcode::Ge, PC)
-#define EVM_HEAD_Min(OPND, PC) EVM_BINOP_BODY(Opcode::Min, PC)
-#define EVM_HEAD_Max(OPND, PC) EVM_BINOP_BODY(Opcode::Max, PC)
-#define EVM_HEAD_Neg(OPND, PC) EVM_UNOP_BODY(Opcode::Neg, PC)
-#define EVM_HEAD_Not(OPND, PC) EVM_UNOP_BODY(Opcode::Not, PC)
-#define EVM_HEAD_I2F(OPND, PC) EVM_UNOP_BODY(Opcode::I2F, PC)
-#define EVM_HEAD_F2I(OPND, PC) EVM_UNOP_BODY(Opcode::F2I, PC)
-#define EVM_HEAD_Sqrt(OPND, PC) EVM_UNOP_BODY(Opcode::Sqrt, PC)
-#define EVM_HEAD_Sin(OPND, PC) EVM_UNOP_BODY(Opcode::Sin, PC)
-#define EVM_HEAD_Cos(OPND, PC) EVM_UNOP_BODY(Opcode::Cos, PC)
-#define EVM_HEAD_Floor(OPND, PC) EVM_UNOP_BODY(Opcode::Floor, PC)
-#define EVM_HEAD_Abs(OPND, PC) EVM_UNOP_BODY(Opcode::Abs, PC)
-
-#define EVM_HEAD_NewArr(OPND, PC)                                              \
-  {                                                                            \
-    TrapKind Trap = TrapKind::None;                                            \
-    int64_t Count = Stack.back().isInt()                                       \
-                        ? Stack.back().asInt()                                 \
-                        : static_cast<int64_t>(Stack.back().toDouble());       \
-    Stack.pop_back();                                                          \
-    auto AllocBase = TheHeap.alloc(Count, Trap);                               \
-    if (!AllocBase) {                                                          \
-      setTrap(Trap, Id, PC);                                                   \
-      return std::nullopt;                                                     \
-    }                                                                          \
-    Stack.push_back(Value::makeInt(*AllocBase));                               \
-  }
-#define EVM_HEAD_HLoad(OPND, PC)                                               \
-  {                                                                            \
-    TrapKind Trap = TrapKind::None;                                            \
-    int64_t Addr = Stack.back().isInt()                                        \
-                       ? Stack.back().asInt()                                  \
-                       : static_cast<int64_t>(Stack.back().toDouble());        \
-    Stack.pop_back();                                                          \
-    auto Loaded = TheHeap.load(Addr, Trap);                                    \
-    if (!Loaded) {                                                             \
-      setTrap(Trap, Id, PC);                                                   \
-      return std::nullopt;                                                     \
-    }                                                                          \
-    Stack.push_back(*Loaded);                                                  \
-  }
-#define EVM_HEAD_HStore(OPND, PC)                                              \
-  {                                                                            \
-    TrapKind Trap = TrapKind::None;                                            \
-    Value V = Stack.back();                                                    \
-    Stack.pop_back();                                                          \
-    int64_t Addr = Stack.back().isInt()                                        \
-                       ? Stack.back().asInt()                                  \
-                       : static_cast<int64_t>(Stack.back().toDouble());        \
-    Stack.pop_back();                                                          \
-    if (!TheHeap.store(Addr, V, Trap)) {                                       \
-      setTrap(Trap, Id, PC);                                                   \
-      return std::nullopt;                                                     \
-    }                                                                          \
-  }
-#define EVM_HEAD_Call(OPND, PC)                                                \
-  {                                                                            \
-    MethodId Callee = static_cast<MethodId>(OPND);                             \
-    uint32_t Arity = M.function(Callee).NumParams;                             \
-    std::vector<Value> CallArgs(Stack.end() - Arity, Stack.end());             \
-    Stack.resize(Stack.size() - Arity);                                        \
-    std::optional<Value> R = invoke(Callee, CallArgs, Depth + 1);              \
-    if (!R)                                                                    \
-      return std::nullopt;                                                     \
-    Stack.push_back(*R);                                                       \
-  }
-
-// EVM_TAIL_<op>(OPND, PC): body plus IP movement — a full handler payload,
-// also the second half of a fused pair (the pair occupies one decoded
-// slot, so a tail's fall-through `++IP` lands after the whole pair).
-// Branch operands are decoded indices (see decodeFunction).
-
-#define EVM_TAIL_Br(OPND, PC) IP = Base + static_cast<size_t>(OPND);
-#define EVM_TAIL_BrTrue(OPND, PC)                                              \
-  {                                                                            \
-    bool Truthy = Stack.back().isTruthy();                                     \
-    Stack.pop_back();                                                          \
-    IP = Truthy ? Base + static_cast<size_t>(OPND) : IP + 1;                   \
-  }
-#define EVM_TAIL_BrFalse(OPND, PC)                                             \
-  {                                                                            \
-    bool Truthy = Stack.back().isTruthy();                                     \
-    Stack.pop_back();                                                          \
-    IP = Truthy ? IP + 1 : Base + static_cast<size_t>(OPND);                   \
-  }
-#define EVM_TAIL_Ret(OPND, PC) return Stack.back();
-
-#define EVM_TAIL_ConstInt(OPND, PC) {EVM_HEAD_ConstInt(OPND, PC)} ++IP;
-#define EVM_TAIL_ConstFloat(OPND, PC) {EVM_HEAD_ConstFloat(OPND, PC)} ++IP;
-#define EVM_TAIL_Pop(OPND, PC) {EVM_HEAD_Pop(OPND, PC)} ++IP;
-#define EVM_TAIL_Dup(OPND, PC) {EVM_HEAD_Dup(OPND, PC)} ++IP;
-#define EVM_TAIL_Swap(OPND, PC) {EVM_HEAD_Swap(OPND, PC)} ++IP;
-#define EVM_TAIL_LoadLocal(OPND, PC) {EVM_HEAD_LoadLocal(OPND, PC)} ++IP;
-#define EVM_TAIL_StoreLocal(OPND, PC) {EVM_HEAD_StoreLocal(OPND, PC)} ++IP;
-#define EVM_TAIL_Nop(OPND, PC) {EVM_HEAD_Nop(OPND, PC)} ++IP;
-#define EVM_TAIL_Add(OPND, PC) {EVM_HEAD_Add(OPND, PC)} ++IP;
-#define EVM_TAIL_Sub(OPND, PC) {EVM_HEAD_Sub(OPND, PC)} ++IP;
-#define EVM_TAIL_Mul(OPND, PC) {EVM_HEAD_Mul(OPND, PC)} ++IP;
-#define EVM_TAIL_Div(OPND, PC) {EVM_HEAD_Div(OPND, PC)} ++IP;
-#define EVM_TAIL_Mod(OPND, PC) {EVM_HEAD_Mod(OPND, PC)} ++IP;
-#define EVM_TAIL_And(OPND, PC) {EVM_HEAD_And(OPND, PC)} ++IP;
-#define EVM_TAIL_Or(OPND, PC) {EVM_HEAD_Or(OPND, PC)} ++IP;
-#define EVM_TAIL_Xor(OPND, PC) {EVM_HEAD_Xor(OPND, PC)} ++IP;
-#define EVM_TAIL_Shl(OPND, PC) {EVM_HEAD_Shl(OPND, PC)} ++IP;
-#define EVM_TAIL_Shr(OPND, PC) {EVM_HEAD_Shr(OPND, PC)} ++IP;
-#define EVM_TAIL_Eq(OPND, PC) {EVM_HEAD_Eq(OPND, PC)} ++IP;
-#define EVM_TAIL_Ne(OPND, PC) {EVM_HEAD_Ne(OPND, PC)} ++IP;
-#define EVM_TAIL_Lt(OPND, PC) {EVM_HEAD_Lt(OPND, PC)} ++IP;
-#define EVM_TAIL_Le(OPND, PC) {EVM_HEAD_Le(OPND, PC)} ++IP;
-#define EVM_TAIL_Gt(OPND, PC) {EVM_HEAD_Gt(OPND, PC)} ++IP;
-#define EVM_TAIL_Ge(OPND, PC) {EVM_HEAD_Ge(OPND, PC)} ++IP;
-#define EVM_TAIL_Min(OPND, PC) {EVM_HEAD_Min(OPND, PC)} ++IP;
-#define EVM_TAIL_Max(OPND, PC) {EVM_HEAD_Max(OPND, PC)} ++IP;
-#define EVM_TAIL_Neg(OPND, PC) {EVM_HEAD_Neg(OPND, PC)} ++IP;
-#define EVM_TAIL_Not(OPND, PC) {EVM_HEAD_Not(OPND, PC)} ++IP;
-#define EVM_TAIL_I2F(OPND, PC) {EVM_HEAD_I2F(OPND, PC)} ++IP;
-#define EVM_TAIL_F2I(OPND, PC) {EVM_HEAD_F2I(OPND, PC)} ++IP;
-#define EVM_TAIL_Sqrt(OPND, PC) {EVM_HEAD_Sqrt(OPND, PC)} ++IP;
-#define EVM_TAIL_Sin(OPND, PC) {EVM_HEAD_Sin(OPND, PC)} ++IP;
-#define EVM_TAIL_Cos(OPND, PC) {EVM_HEAD_Cos(OPND, PC)} ++IP;
-#define EVM_TAIL_Floor(OPND, PC) {EVM_HEAD_Floor(OPND, PC)} ++IP;
-#define EVM_TAIL_Abs(OPND, PC) {EVM_HEAD_Abs(OPND, PC)} ++IP;
-#define EVM_TAIL_NewArr(OPND, PC) {EVM_HEAD_NewArr(OPND, PC)} ++IP;
-#define EVM_TAIL_HLoad(OPND, PC) {EVM_HEAD_HLoad(OPND, PC)} ++IP;
-#define EVM_TAIL_HStore(OPND, PC) {EVM_HEAD_HStore(OPND, PC)} ++IP;
-#define EVM_TAIL_Call(OPND, PC) {EVM_HEAD_Call(OPND, PC)} ++IP;
-
-// One handler per opcode: pending-trap check (folded into EVM_NEXT),
-// charge, body, advance — the switch loop's sequence verbatim.
-#define EVM_SINGLE_HANDLER(NAME)                                               \
-  EVM_CASE(NAME) {                                                             \
-    const DecodedInstr &DI = *IP;                                              \
-    charge(DI.Charge);                                                         \
-    ++DStats.Instrs;                                                           \
-    EVM_TAIL_##NAME(DI.Operand, DI.OrigPc)                                     \
-    EVM_NEXT;                                                                  \
-  }
-
-// One handler per fused pair.  The constituents charge separately with a
-// pending-trap check between them — the exact switch-mode sequence for the
-// two instructions — so fusion is invisible to every virtual observable.
-#define EVM_FUSED_HANDLER(A, B)                                                \
-  EVM_PAIR_CASE(A, B) {                                                        \
-    const DecodedInstr &DI = *IP;                                              \
-    charge(DI.Charge);                                                         \
-    ++DStats.Instrs;                                                           \
-    {EVM_HEAD_##A(DI.Operand, DI.OrigPc)}                                      \
-    if (PendingTrap != TrapKind::None)                                         \
-      return std::nullopt;                                                     \
-    charge(DI.Charge2);                                                        \
-    ++DStats.Instrs;                                                           \
-    ++DStats.FusedExecs;                                                       \
-    ++DStats.PairExecs[HPE_##A##_##B];                                         \
-    EVM_TAIL_##B(DI.Operand2, DI.OrigPc + 1)                                   \
-    EVM_NEXT;                                                                  \
-  }
-
-std::optional<Value>
-ExecutionEngine::interpretDecoded(MethodId Id, const std::vector<Value> &Args,
-                                  int Depth) {
-  const bc::Function &F = M.function(Id);
-  assert(Args.size() == F.NumParams && "arity mismatch");
-  assert(Id < Decoded.size() && "module not decoded (Switch mode?)");
-  const DecodedFunction &DF = Decoded[Id];
-
-  PROF_SCOPE("interp");
-  charge(TM.InterpCallOverhead);
-  std::vector<Value> Locals(F.NumLocals, Value::makeInt(0));
-  for (size_t K = 0; K != Args.size(); ++K)
-    Locals[K] = Args[K];
-  std::vector<Value> Stack;
-  Stack.reserve(16);
-
-  const DecodedInstr *const Base = DF.Code.data();
-  const DecodedInstr *IP = Base;
-
-#if EVM_USE_CGOTO
-  static const void *const Handlers[] = {
-#define EVM_LABEL_ADDR(NAME) &&H_##NAME,
-      EVM_FOR_EACH_OPCODE(EVM_LABEL_ADDR)
-#undef EVM_LABEL_ADDR
-#define EVM_PAIR_LABEL_ADDR(A, B) &&H_##A##_##B,
-      EVM_SUPERINST_PAIRS(EVM_PAIR_LABEL_ADDR)
-#undef EVM_PAIR_LABEL_ADDR
-  };
-  static_assert(sizeof(Handlers) / sizeof(Handlers[0]) ==
-                    bc::NumOpcodes + NumSuperinstPairs,
-                "handler table out of sync");
-
-#define EVM_CASE(NAME) H_##NAME:
-#define EVM_PAIR_CASE(A, B) H_##A##_##B:
-#define EVM_NEXT                                                               \
-  do {                                                                         \
-    if (PendingTrap != TrapKind::None)                                         \
-      return std::nullopt;                                                     \
-    goto *Handlers[IP->Handler];                                               \
-  } while (0)
-
-  EVM_NEXT;
-  EVM_FOR_EACH_OPCODE(EVM_SINGLE_HANDLER)
-  EVM_SUPERINST_PAIRS(EVM_FUSED_HANDLER)
-
-#else // !EVM_USE_CGOTO: same decoded stream through a dense switch
-
-#define EVM_CASE(NAME) case static_cast<uint16_t>(Opcode::NAME):
-#define EVM_PAIR_CASE(A, B)                                                    \
-  case static_cast<uint16_t>(bc::NumOpcodes + HPE_##A##_##B):
-#define EVM_NEXT break
-
-  while (true) {
-    if (PendingTrap != TrapKind::None)
-      return std::nullopt;
-    switch (IP->Handler) {
-      EVM_FOR_EACH_OPCODE(EVM_SINGLE_HANDLER)
-      EVM_SUPERINST_PAIRS(EVM_FUSED_HANDLER)
-    default:
-      assert(false && "unknown decoded handler");
-      return std::nullopt;
-    }
-  }
-#endif
-}
-
-#undef EVM_CASE
-#undef EVM_PAIR_CASE
-#undef EVM_NEXT
-#undef EVM_SINGLE_HANDLER
-#undef EVM_FUSED_HANDLER
 
 std::optional<Value> ExecutionEngine::executeCompiled(
     MethodId Id, const jit::CompiledFunction &Code,

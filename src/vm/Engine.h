@@ -26,11 +26,9 @@
 #include "support/Profiler.h"
 #include "support/Trace.h"
 #include "vm/CompileWorker.h"
-#include "vm/Dispatch.h"
 #include "vm/Heap.h"
 #include "vm/Policy.h"
 #include "vm/Profile.h"
-#include "vm/Superinst.h"
 #include "vm/Timing.h"
 #include "vm/jit/Compiler.h"
 
@@ -94,21 +92,6 @@ public:
 
   const TimingModel &timingModel() const { return TM; }
 
-  /// How interpret() walks bytecode (vm/Dispatch.h).  Engines adopt the
-  /// process-wide mode at construction; this override re-decodes the module
-  /// (and, when \p Table is non-null, swaps the fusion table first).  All
-  /// modes are pinned cycle- and RunResult-identical, so switching is a
-  /// host-speed knob only.
-  void setDispatchMode(DispatchMode Mode,
-                       const SuperinstTable *Table = nullptr);
-  DispatchMode dispatchMode() const { return DispMode; }
-  const SuperinstTable &fusionTable() const { return FusionTable; }
-
-  /// Cumulative host-side dispatch counters (instructions retired, fused
-  /// slots executed, per-pair counts).  Deliberately *not* part of
-  /// RunResult: its bytes must stay identical across dispatch modes.
-  const DispatchStats &dispatchStats() const { return DStats; }
-
   /// Maximum recursive invocation depth before a CallDepthExceeded trap.
   static constexpr int MaxCallDepth = 512;
 
@@ -124,22 +107,10 @@ private:
   std::optional<bc::Value> invoke(bc::MethodId Id,
                                   const std::vector<bc::Value> &Args,
                                   int Depth);
-  /// Routes to interpretSwitch or interpretDecoded per DispMode.
+  /// The bytecode interpreter: one switch per instruction.
   std::optional<bc::Value> interpret(bc::MethodId Id,
                                      const std::vector<bc::Value> &Args,
                                      int Depth);
-  /// The reference interpreter: one switch per undecoded instruction.
-  std::optional<bc::Value> interpretSwitch(bc::MethodId Id,
-                                           const std::vector<bc::Value> &Args,
-                                           int Depth);
-  /// The threaded/fused interpreter over the predecoded stream (computed
-  /// goto when compiled in, dense switch otherwise).  Charge-for-charge
-  /// identical to interpretSwitch.
-  std::optional<bc::Value> interpretDecoded(bc::MethodId Id,
-                                            const std::vector<bc::Value> &Args,
-                                            int Depth);
-  /// (Re)decodes every function against DispMode/FusionTable.
-  void decodeAll();
   std::optional<bc::Value>
   executeCompiled(bc::MethodId Id, const jit::CompiledFunction &Code,
                   const std::vector<bc::Value> &Args, int Depth);
@@ -167,14 +138,6 @@ private:
   const bc::Module &M;
   TimingModel TM;
   CompilationPolicy *Policy; ///< may be null (no recompilation ever)
-
-  DispatchMode DispMode;      ///< adopted from processDispatchMode() at ctor
-  SuperinstTable FusionTable; ///< pairs decoded in Fused mode
-  /// Per-function predecoded streams ("installed at module-load time"):
-  /// built in the constructor, rebuilt by setDispatchMode; empty in Switch
-  /// mode.
-  std::vector<DecodedFunction> Decoded;
-  DispatchStats DStats;
 
   Heap TheHeap;
   std::vector<MethodState> Methods;

@@ -29,8 +29,8 @@
 /// value.
 ///
 /// This header lives in src/workloads (not tests/) because the open-world
-/// generator builds on the same statement machinery; tests reach it through
-/// the thin tests/RandomModule.h shim.
+/// generator builds on the same statement machinery; the differential
+/// fuzzer and the pass property tests include it directly.
 ///
 //===----------------------------------------------------------------------===//
 

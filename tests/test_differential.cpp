@@ -6,9 +6,7 @@
 // checksum loop over its heap array, so every store is observable in the
 // return value), and on trap behavior (same trap message, or no trap
 // anywhere).  Failures print the seed so a reproduction is one constant
-// away.  A second axis runs the same corpus across the interpreter's
-// dispatch modes (switch / threaded / fused), where agreement is
-// byte-level: identical cycles and metrics, not just equivalent values.
+// away.
 //
 //===----------------------------------------------------------------------===//
 
@@ -17,8 +15,7 @@
 #include "vm/Engine.h"
 #include "vm/Policy.h"
 #include "workloads/Generator.h"
-
-#include "RandomModule.h"
+#include "workloads/RandomProgram.h"
 
 #include <gtest/gtest.h>
 
@@ -81,7 +78,7 @@ TEST(Differential, RandomModulesAgreeAcrossTiers) {
   uint64_t Trapped = 0, Succeeded = 0;
   for (uint64_t Seed = SeedBase; Seed != SeedBase + NumSeeds; ++Seed) {
     SCOPED_TRACE("seed=" + std::to_string(Seed));
-    auto MOrErr = test::generateRandomModule(Seed);
+    auto MOrErr = wl::generateRandomProgram(Seed);
     ASSERT_TRUE(static_cast<bool>(MOrErr))
         << "seed=" << Seed
         << " generated an invalid module: " << MOrErr.getError().message();
@@ -168,67 +165,13 @@ TEST(Differential, GeneratedWorkloadsAgreeAcrossTiers) {
   }
 }
 
-TEST(Differential, RandomModulesAgreeAcrossDispatchModes) {
-  // The dispatch-mode axis: the same 200-seed corpus, run at Baseline
-  // (all-interpreter, so every instruction goes through the dispatch loop
-  // under test) in switch, threaded, and fused modes.  Unlike the tier
-  // axis, dispatch modes share one attribution scheme, so agreement is
-  // *byte-level*: identical cycles, identical metrics JSON, identical trap
-  // messages — not just equivalent values.
-  const int64_t Inputs[] = {0, 3, 17};
-  uint64_t Trapped = 0, Succeeded = 0;
-  for (uint64_t Seed = SeedBase; Seed != SeedBase + NumSeeds; ++Seed) {
-    SCOPED_TRACE("seed=" + std::to_string(Seed));
-    auto MOrErr = test::generateRandomModule(Seed);
-    ASSERT_TRUE(static_cast<bool>(MOrErr));
-    const bc::Module &M = *MOrErr;
-
-    for (int64_t Input : Inputs) {
-      auto runWithMode = [&](DispatchMode Mode) {
-        TimingModel TM;
-        ExecutionEngine Engine(M, TM, nullptr);
-        Engine.setDispatchMode(Mode);
-        return Engine.run({bc::Value::makeInt(Input)}, MaxCycles);
-      };
-      auto Ref = runWithMode(DispatchMode::Switch);
-      for (DispatchMode Mode :
-           {DispatchMode::Threaded, DispatchMode::Fused}) {
-        auto Got = runWithMode(Mode);
-        ASSERT_EQ(static_cast<bool>(Ref), static_cast<bool>(Got))
-            << "seed=" << Seed << " input=" << Input
-            << " mode=" << dispatchModeName(Mode);
-        if (!Ref) {
-          ASSERT_EQ(Ref.getError().message(), Got.getError().message())
-              << "seed=" << Seed << " input=" << Input
-              << " mode=" << dispatchModeName(Mode);
-          continue;
-        }
-        ASSERT_EQ(Ref->Cycles, Got->Cycles)
-            << "seed=" << Seed << " input=" << Input
-            << " mode=" << dispatchModeName(Mode);
-        ASSERT_TRUE(valuesEquivalent(Ref->ReturnValue, Got->ReturnValue))
-            << "seed=" << Seed << " input=" << Input
-            << " mode=" << dispatchModeName(Mode)
-            << ": switch=" << Ref->ReturnValue.str()
-            << " got=" << Got->ReturnValue.str();
-        ASSERT_EQ(Ref->Metrics.renderJson(), Got->Metrics.renderJson())
-            << "seed=" << Seed << " input=" << Input
-            << " mode=" << dispatchModeName(Mode);
-      }
-      static_cast<bool>(Ref) ? ++Succeeded : ++Trapped;
-    }
-  }
-  EXPECT_GT(Succeeded, NumSeeds);
-  EXPECT_GT(Trapped, 0u);
-}
-
 TEST(Differential, BackgroundPipelineMatchesSynchronous) {
   // The async compile pipeline must not change *results*, only timing:
   // for a sample of seeds, an adaptive run with background workers returns
   // exactly what the synchronous adaptive run returns.
   for (uint64_t Seed = SeedBase; Seed != SeedBase + 25; ++Seed) {
     SCOPED_TRACE("seed=" + std::to_string(Seed));
-    auto MOrErr = test::generateRandomModule(Seed);
+    auto MOrErr = wl::generateRandomProgram(Seed);
     ASSERT_TRUE(static_cast<bool>(MOrErr));
     const bc::Module &M = *MOrErr;
 
@@ -261,7 +204,7 @@ TEST(Differential, TracedBackgroundPipelineIsDeterministic) {
   // this test to race-check the recorder against the worker threads.
   for (uint64_t Seed = SeedBase; Seed != SeedBase + 10; ++Seed) {
     SCOPED_TRACE("seed=" + std::to_string(Seed));
-    auto MOrErr = test::generateRandomModule(Seed);
+    auto MOrErr = wl::generateRandomProgram(Seed);
     ASSERT_TRUE(static_cast<bool>(MOrErr));
     const bc::Module &M = *MOrErr;
 

@@ -12,11 +12,11 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "RandomModule.h"
 #include "bytecode/Assembler.h"
 #include "harness/Scenario.h"
 #include "vm/Engine.h"
 #include "workloads/Generator.h"
+#include "workloads/RandomProgram.h"
 
 #include "gtest/gtest.h"
 
@@ -367,17 +367,10 @@ TEST(Generator, DriftGuardFallsBackAndRecovers) {
 }
 
 //===----------------------------------------------------------------------===//
-// The hoisted RandomProgram shim still serves the fuzzer clients
+// The random-program core shared with the fuzzer clients
 //===----------------------------------------------------------------------===//
 
-TEST(RandomProgramShim, TestAliasStillGenerates) {
-  test::RandomModuleOptions O;
-  auto M = test::generateRandomModule(123, O);
-  ASSERT_TRUE(static_cast<bool>(M)) << M.getError().message();
-  EXPECT_TRUE(M->findFunction("main").has_value());
-}
-
-TEST(RandomProgramShim, TrapFreeModeAvoidsTrappingOpcodes) {
+TEST(RandomProgram, TrapFreeModeAvoidsTrappingOpcodes) {
   // AllowTraps=false must keep Div, shifts, and float constants out of the
   // expression stream — that is what generated cold methods rely on.  Mod
   // still appears, but only as `expr mod HeapSize` in heap addressing,

@@ -5,8 +5,8 @@
 #include "vm/jit/Dominators.h"
 #include "vm/jit/Lowering.h"
 #include "vm/jit/Passes.h"
+#include "workloads/RandomProgram.h"
 
-#include "RandomModule.h"
 #include "TestHelpers.h"
 
 #include <gtest/gtest.h>
@@ -675,7 +675,7 @@ TEST(PipelineTest, AllLevelsValidateOnCorpus) {
 }
 
 //===----------------------------------------------------------------------===//
-// Property tests on random IR (seeded generator from RandomModule.h)
+// Property tests on random IR (seeded generator from RandomProgram.h)
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -711,7 +711,7 @@ TEST(PassProperties, PassesAreIdempotentOnRandomIR) {
   // reports no change and leaves the printed IR byte-identical.
   for (uint64_t Seed = PropertySeedBase; Seed != PropertySeedBase + 30;
        ++Seed) {
-    auto MOrErr = test::generateRandomModule(Seed);
+    auto MOrErr = wl::generateRandomProgram(Seed);
     ASSERT_TRUE(static_cast<bool>(MOrErr)) << "seed=" << Seed;
     const bc::Module &M = *MOrErr;
     for (bc::MethodId Id = 0; Id != M.numFunctions(); ++Id) {
@@ -791,7 +791,7 @@ TEST(PassProperties, PassOrderPermutationsPreserveSemantics) {
   for (uint64_t Seed = PropertySeedBase; Seed != PropertySeedBase + 12;
        ++Seed) {
     SCOPED_TRACE("seed=" + std::to_string(Seed));
-    auto MOrErr = test::generateRandomModule(Seed);
+    auto MOrErr = wl::generateRandomProgram(Seed);
     ASSERT_TRUE(static_cast<bool>(MOrErr));
     const bc::Module &M = *MOrErr;
     auto Want = runInterpreted(M, 7);

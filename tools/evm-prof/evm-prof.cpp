@@ -54,8 +54,6 @@ void printUsage(const char *Argv0, std::FILE *To) {
       "  --flame          emit collapsed stacks (flamegraph.pl format)\n"
       "  --speedscope     emit speedscope JSON\n"
       "  --latency        p50/p90/p99 of embedded histogram metrics\n"
-      "  --fusion         superinstruction coverage report from the\n"
-      "                   dispatch.* gauges of a bench_dispatch document\n"
       "  --version        print build provenance JSON and exit\n",
       Argv0);
 }
@@ -108,42 +106,6 @@ std::vector<HistogramMetric> parseHistograms(const std::string &Text) {
       H.P90 = std::strtod(field("p90").c_str(), nullptr);
       H.P99 = std::strtod(field("p99").c_str(), nullptr);
       Out.push_back(std::move(H));
-    }
-    At = Close;
-  }
-  return Out;
-}
-
-/// One embedded gauge metric.  Same lenient scan as parseHistograms.
-struct GaugeMetric {
-  std::string Name;
-  double Value = 0;
-};
-
-std::vector<GaugeMetric> parseGauges(const std::string &Text) {
-  std::vector<GaugeMetric> Out;
-  size_t At = 0;
-  while ((At = Text.find("\"kind\":\"gauge\"", At)) != std::string::npos) {
-    size_t Open = Text.rfind('{', At);
-    size_t Close = Text.find('}', At);
-    if (Open == std::string::npos || Close == std::string::npos)
-      break;
-    std::string Obj = Text.substr(Open, Close - Open + 1);
-    auto field = [&](const char *Key) -> std::string {
-      std::string Needle = std::string("\"") + Key + "\":";
-      size_t F = Obj.find(Needle);
-      if (F == std::string::npos)
-        return "";
-      F += Needle.size();
-      size_t End = Obj.find_first_of(",}", F);
-      return Obj.substr(F, End - F);
-    };
-    std::string Name = field("name");
-    if (Name.size() >= 2 && Name.front() == '"' && Name.back() == '"') {
-      GaugeMetric G;
-      G.Name = Name.substr(1, Name.size() - 2);
-      G.Value = std::strtod(field("value").c_str(), nullptr);
-      Out.push_back(std::move(G));
     }
     At = Close;
   }
@@ -268,61 +230,11 @@ int reportLatency(const std::string &Document) {
   return 0;
 }
 
-int reportFusion(const std::string &Document) {
-  std::vector<GaugeMetric> Gauges = parseGauges(Document);
-  const std::string PairPrefix = "dispatch.fusion.pair.";
-  auto gauge = [&](const char *Name) {
-    for (const GaugeMetric &G : Gauges)
-      if (G.Name == Name)
-        return G.Value;
-    return 0.0;
-  };
-  bool Any = false;
-  for (const GaugeMetric &G : Gauges)
-    if (G.Name.rfind("dispatch.", 0) == 0)
-      Any = true;
-  if (!Any) {
-    std::printf("no dispatch.* gauges embedded in the document (run "
-                "bench_dispatch --json=FILE)\n");
-    return 0;
-  }
-
-  double Instrs = gauge("dispatch.instrs");
-  double Execs = gauge("dispatch.fusion.execs");
-  std::printf("identity gate: %s\n",
-              gauge("dispatch.identity") == 1.0 ? "byte-equal" : "DIVERGED");
-  std::printf("static: %.0f fused sites over %.0f decoded slots; dynamic: "
-              "%.0f of %.0f instrs retired fused (%.1f%%)\n\n",
-              gauge("dispatch.fusion.static_sites"),
-              gauge("dispatch.fusion.decoded_slots"), 2 * Execs, Instrs,
-              100.0 * gauge("dispatch.fusion.dynamic_fraction"));
-
-  std::vector<GaugeMetric> Pairs;
-  for (const GaugeMetric &G : Gauges)
-    if (G.Name.rfind(PairPrefix, 0) == 0)
-      Pairs.push_back({G.Name.substr(PairPrefix.size()), G.Value});
-  std::sort(Pairs.begin(), Pairs.end(),
-            [](const GaugeMetric &A, const GaugeMetric &B) {
-              if (A.Value != B.Value)
-                return A.Value > B.Value;
-              return A.Name < B.Name;
-            });
-  TextTable Table({"pair", "execs", "% of fused"});
-  for (const GaugeMetric &P : Pairs) {
-    Table.beginRow();
-    Table.addCell(P.Name);
-    Table.addCell(static_cast<int64_t>(P.Value));
-    Table.addCell(Execs ? 100.0 * P.Value / Execs : 0.0, 2);
-  }
-  std::printf("%s", Table.render().c_str());
-  return gauge("dispatch.identity") == 1.0 ? 0 : 1;
-}
-
 } // namespace
 
 int main(int argc, char **argv) {
   bool Top = false, Overhead = false, Diff = false, Flame = false;
-  bool Speedscope = false, Latency = false, Fusion = false;
+  bool Speedscope = false, Latency = false;
   size_t TopN = 20;
   double OverheadPct = 1.0;
   std::vector<std::string> Paths;
@@ -366,8 +278,6 @@ int main(int argc, char **argv) {
       Speedscope = true;
     } else if (Arg == "--latency") {
       Latency = true;
-    } else if (Arg == "--fusion") {
-      Fusion = true;
     } else if (startsWith(Arg, "--")) {
       std::fprintf(stderr, "error: unknown option '%s'\n", Arg.c_str());
       printUsage(argv[0], stderr);
@@ -377,12 +287,11 @@ int main(int argc, char **argv) {
     }
   }
 
-  if (!Top && !Overhead && !Diff && !Flame && !Speedscope && !Latency &&
-      !Fusion)
+  if (!Top && !Overhead && !Diff && !Flame && !Speedscope && !Latency)
     Top = true;
-  // --fusion and --latency read embedded metrics, not the phase tree, so a
-  // document without parsable phases (e.g. bench_dispatch's, which carries
-  // only metrics) is fine as long as no phase-based report was requested.
+  // --latency reads embedded metrics, not the phase tree, so a document
+  // without parsable phases (one that carries only metrics) is fine as long
+  // as no phase-based report was requested.
   bool NeedPhases = Top || Overhead || Diff || Flame || Speedscope;
   size_t Needed = Diff ? 2 : 1;
   if (Paths.size() != Needed) {
@@ -420,8 +329,6 @@ int main(int argc, char **argv) {
     Exit = std::max(Exit, reportTop(Snaps[0], TopN));
   if (Latency)
     Exit = std::max(Exit, reportLatency(Documents[0]));
-  if (Fusion)
-    Exit = std::max(Exit, reportFusion(Documents[0]));
   if (Diff)
     Exit = std::max(Exit, reportDiff(Snaps[0], Snaps[1], Paths[0], Paths[1]));
   if (Overhead)

@@ -78,11 +78,6 @@ echo "fleet threads-matrix smoke: OK (${THREADS[*]})"
 # final global store that evm-store validate accepts.  Under the TSan lane
 # this exercises the whole serving stack (reader threads, batcher, lanes,
 # gateway folds) against the race detector.
-#
-# The cell runs twice — EVM_DISPATCH=switch and EVM_DISPATCH=fused — with
-# the same inputs, and the two decision ledgers must be byte-identical:
-# interpreter threading/superinstruction fusion must be invisible to every
-# served prediction, all the way through the daemon's batcher and lanes.
 SERVED="$BUILD_DIR/tools/evm-served"
 STORE_TOOL="$BUILD_DIR/tools/evm-store"
 if [ ! -x "$SERVED" ] || [ ! -x "$STORE_TOOL" ]; then
@@ -90,76 +85,51 @@ if [ ! -x "$SERVED" ] || [ ! -x "$STORE_TOOL" ]; then
   exit 0
 fi
 
-daemon_cell() {  # $1 = dispatch mode (tag for outputs + EVM_DISPATCH)
-  local MODE="$1"
-  local SOCK="$WORK/served-$MODE.sock"
-  local SERVE_DIR="$WORK/served-store-$MODE"
-  EVM_DISPATCH="$MODE" "$SERVED" --socket "$SOCK" --store-dir "$SERVE_DIR" \
-    --batch 2 --deadline-us 500 \
-    --decisions-out "$WORK/served-$MODE.decisions.jsonl" \
-    > "$WORK/served-$MODE.log" 2>&1 &
-  local SERVED_PID=$!
+SOCK="$WORK/served.sock"
+SERVE_DIR="$WORK/served-store"
+"$SERVED" --socket "$SOCK" --store-dir "$SERVE_DIR" \
+  --batch 2 --deadline-us 500 \
+  --decisions-out "$WORK/served.decisions.jsonl" \
+  > "$WORK/served.log" 2>&1 &
+SERVED_PID=$!
 
-  # Readiness signal: the socket file exists once start() returns.
-  for _ in $(seq 1 100); do
-    [ -S "$SOCK" ] && break
-    kill -0 "$SERVED_PID" 2>/dev/null || {
-      echo "FAIL: evm-served ($MODE) died before binding $SOCK" >&2
-      cat "$WORK/served-$MODE.log" >&2
-      exit 1
-    }
-    sleep 0.1
-  done
-  [ -S "$SOCK" ] || { echo "FAIL: $SOCK never appeared" >&2; exit 1; }
-
-  if ! "$CLI" --connect "$SOCK" --app route --input-order 0,1,2,3,0,1 \
-      > "$WORK/served-$MODE.client.txt" \
-      2> "$WORK/served-$MODE.client.err"; then
-    echo "FAIL: evm_cli --connect against evm-served ($MODE) exited" \
-      "nonzero" >&2
-    cat "$WORK/served-$MODE.client.err" >&2
-    kill -9 "$SERVED_PID" 2>/dev/null || true
+# Readiness signal: the socket file exists once start() returns.
+for _ in $(seq 1 100); do
+  [ -S "$SOCK" ] && break
+  kill -0 "$SERVED_PID" 2>/dev/null || {
+    echo "FAIL: evm-served died before binding $SOCK" >&2
+    cat "$WORK/served.log" >&2
     exit 1
-  fi
+  }
+  sleep 0.1
+done
+[ -S "$SOCK" ] || { echo "FAIL: $SOCK never appeared" >&2; exit 1; }
 
-  # Graceful drain: SIGTERM must complete in-flight work, fold the final
-  # checkpoint, and exit 0.
-  kill -TERM "$SERVED_PID"
-  local SERVED_RC=0
-  wait "$SERVED_PID" || SERVED_RC=$?
-  if [ "$SERVED_RC" -ne 0 ]; then
-    echo "FAIL: evm-served ($MODE) drain exited $SERVED_RC" >&2
-    cat "$WORK/served-$MODE.log" >&2
-    exit 1
-  fi
-
-  # The drain-time fold's global store must be clean and canonical.
-  # (Gateway filenames sanitize lane ids: app "route" -> global-route.store.)
-  if ! "$STORE_TOOL" validate "$SERVE_DIR/global-route.store" \
-      > "$WORK/served-$MODE.validate.txt"; then
-    echo "FAIL: evm-store validate rejects the $MODE drain checkpoint" >&2
-    cat "$WORK/served-$MODE.validate.txt" >&2
-    exit 1
-  fi
-  echo "daemon smoke ($MODE): OK" \
-    "($(tail -n1 "$WORK/served-$MODE.validate.txt"))"
-}
-
-daemon_cell switch
-daemon_cell fused
-
-if ! cmp -s "$WORK/served-switch.decisions.jsonl" \
-    "$WORK/served-fused.decisions.jsonl"; then
-  echo "FAIL: served decision ledgers differ between EVM_DISPATCH=switch" \
-    "and fused" >&2
-  cmp "$WORK/served-switch.decisions.jsonl" \
-    "$WORK/served-fused.decisions.jsonl" >&2 || true
+if ! "$CLI" --connect "$SOCK" --app route --input-order 0,1,2,3,0,1 \
+    > "$WORK/served.client.txt" 2> "$WORK/served.client.err"; then
+  echo "FAIL: evm_cli --connect against evm-served exited nonzero" >&2
+  cat "$WORK/served.client.err" >&2
+  kill -9 "$SERVED_PID" 2>/dev/null || true
   exit 1
 fi
-if ! cmp -s "$WORK/served-switch.client.txt" \
-    "$WORK/served-fused.client.txt"; then
-  echo "FAIL: served client output differs between EVM_DISPATCH=switch" \
-    "and fused" >&2
+
+# Graceful drain: SIGTERM must complete in-flight work, fold the final
+# checkpoint, and exit 0.
+kill -TERM "$SERVED_PID"
+SERVED_RC=0
+wait "$SERVED_PID" || SERVED_RC=$?
+if [ "$SERVED_RC" -ne 0 ]; then
+  echo "FAIL: evm-served drain exited $SERVED_RC" >&2
+  cat "$WORK/served.log" >&2
   exit 1
 fi
-echo "daemon dispatch cell: ledgers byte-identical (switch vs fused)"
+
+# The drain-time fold's global store must be clean and canonical.
+# (Gateway filenames sanitize lane ids: app "route" -> global-route.store.)
+if ! "$STORE_TOOL" validate "$SERVE_DIR/global-route.store" \
+    > "$WORK/served.validate.txt"; then
+  echo "FAIL: evm-store validate rejects the drain checkpoint" >&2
+  cat "$WORK/served.validate.txt" >&2
+  exit 1
+fi
+echo "daemon smoke: OK ($(tail -n1 "$WORK/served.validate.txt"))"
