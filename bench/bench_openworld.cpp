@@ -274,7 +274,6 @@ int main(int argc, char **argv) {
   // grouped by record app name in first-seen (= suite) order.  The same
   // double arithmetic over the same values must reproduce the suite's
   // numbers bit-for-bit, pinning the ledger as a faithful audit stream.
-  // (Skipped when EVM_DECISIONS is compiled out: the ledger stays empty.)
   std::vector<DecisionRecord> DriftRecords = DriftLedger.exportOrder();
   if (DriftLedger.enabled() && !DriftRecords.empty()) {
     size_t LedgerDriftRun = static_cast<size_t>(

@@ -282,7 +282,8 @@ int main(int argc, char **argv) {
   Table.addCell(static_cast<double>(LoadDropped), 0);
   Table.addCell(LoadDropped == 0 && LoadErrors == 0 ? "ok" : "FAIL");
 
-  const MetricValue *Lat = LatencyReg.snapshot().find("latency");
+  MetricsSnapshot LatencySnap = LatencyReg.snapshot();
+  const MetricValue *Lat = LatencySnap.find("latency");
   double P50 = Lat ? Lat->P50 : 0, P99 = Lat ? Lat->P99 : 0;
   double Throughput =
       WallSeconds > 0 ? static_cast<double>(LoadOk) / WallSeconds : 0;

@@ -245,9 +245,6 @@ int replay(const bc::Module &Program, const std::string &Spec,
   TraceRecorder Tracer;
   if (Options.wantsTrace()) {
     Tracer.setEnabled(true);
-    if (!Tracer.enabled())
-      std::fprintf(stderr, "warning: binary built with EVM_TRACING=0; "
-                           "trace output will be empty\n");
     VM.setTracer(&Tracer);
   }
 
@@ -255,9 +252,6 @@ int replay(const bc::Module &Program, const std::string &Spec,
   DecisionLedger Ledger;
   if (!Options.DecisionsOutPath.empty()) {
     Ledger.setEnabled(true);
-    if (!Ledger.enabled())
-      std::fprintf(stderr, "warning: binary built with EVM_DECISIONS=0; "
-                           "decision output will be empty\n");
     VM.setLedger(&Ledger, AppName);
   }
 
@@ -267,12 +261,8 @@ int replay(const bc::Module &Program, const std::string &Spec,
   // identical with or without it.
   PhaseProfiler Profiler;
   std::optional<ProfilerInstallGuard> ProfileGuard;
-  if (Options.wantsProfile()) {
+  if (Options.wantsProfile())
     ProfileGuard.emplace(&Profiler);
-    if (!PhaseProfiler::current())
-      std::fprintf(stderr, "warning: binary built with EVM_PROFILING=0; "
-                           "profile output will be empty\n");
-  }
 
   MetricsSnapshot LastMetrics;
   std::printf("%-4s %-32s %-7s %-7s %-9s %s\n", "run", "command line",
@@ -442,21 +432,10 @@ int runFleet(const CliOptions &Options) {
     return 3;
   }
 
-  if (!Options.DecisionsOutPath.empty()) {
-    DecisionLedger Probe;
-    Probe.setEnabled(true);
-    if (!Probe.enabled())
-      std::fprintf(stderr, "warning: binary built with EVM_DECISIONS=0; "
-                           "decision output will be empty\n");
-  }
-
   harness::FleetRunner Runner(std::move(FC));
   TraceRecorder Tracer;
   if (Options.wantsTrace()) {
     Tracer.setEnabled(true);
-    if (!Tracer.enabled())
-      std::fprintf(stderr, "warning: binary built with EVM_TRACING=0; "
-                           "trace output will be empty\n");
     Runner.setTracer(&Tracer);
   }
 

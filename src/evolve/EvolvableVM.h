@@ -199,8 +199,8 @@ private:
   EvolveConfig Config;
   /// One engine for every production run: per-run state resets inside
   /// run(), while the background compile-worker pool (when
-  /// Config.Timing.NumCompileWorkers > 0) persists instead of being
-  /// respawned each run.  The policy is swapped per run via setPolicy.
+  /// Config.Timing.NumCompileWorkers > 0) persists across runs.  The
+  /// policy is swapped per run via setPolicy.
   vm::ExecutionEngine Engine;
   std::vector<size_t> Sizes;
   std::unique_ptr<xicl::XICLTranslator> Translator; ///< null on spec error

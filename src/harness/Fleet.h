@@ -93,7 +93,6 @@ struct FleetConfig {
   /// DecisionRecord (tagged with its tenant id), folded in tenant-ID order
   /// into FleetResult::Decisions after the pool joins.  Observation only —
   /// on/off is cycle-identical, and the aggregate JSON never changes.
-  /// No-op when EVM_DECISIONS is compiled out.
   bool CaptureDecisions = false;
   /// Scenario knobs shared by all tenants (Seed inside it is overridden by
   /// the fleet seed).
@@ -106,7 +105,7 @@ struct TenantResult {
   std::string Workload;
   size_t Launches = 0; ///< checkpoints written (0 when storeless)
   ScenarioResult Result;
-  PhaseTreeSnapshot Phases; ///< empty unless CapturePhases and EVM_PROFILING
+  PhaseTreeSnapshot Phases; ///< empty unless CapturePhases
   uint64_t TotalCycles = 0;
   uint64_t OverheadCycles = 0;
   uint64_t Compiles = 0;

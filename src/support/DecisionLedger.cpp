@@ -12,14 +12,6 @@ using namespace evm;
 DecisionLedger::DecisionLedger(size_t MaxRecords)
     : MaxRecords(MaxRecords ? MaxRecords : 1) {}
 
-void DecisionLedger::setEnabled(bool On) {
-#if EVM_DECISIONS
-  Enabled = On;
-#else
-  (void)On;
-#endif
-}
-
 void DecisionLedger::record(DecisionRecord R) {
   if (!enabled())
     return;

@@ -16,13 +16,10 @@
 /// confusion matrices, calibration tables, guard precision/recall, and
 /// drift-detection latencies.
 ///
-/// Cost model, same discipline as EVM_PROFILING / EVM_TRACING:
+/// Cost model, same discipline as the phase profiler and the tracer:
 ///
-///   * `-DEVM_DECISIONS=OFF` compiles every site out — enabled() folds to a
-///     constant false and each `if (Ledger && Ledger->enabled())` block is
-///     dead code.
-///   * Compiled in but not attached (or attached with the runtime flag
-///     off), every site costs one pointer test plus one branch.
+///   * Not attached (or attached with the runtime flag off), every site
+///     costs one pointer test plus one branch.
 ///   * Enabled, sites cost host time only; recording never charges the
 ///     virtual clock, so ledger-on and ledger-off runs are cycle-identical
 ///     and RunResult-byte-identical by construction (pinned by
@@ -62,12 +59,6 @@
 #include <cstdint>
 #include <string>
 #include <vector>
-
-/// Compile-time gate.  The build defines EVM_DECISIONS=0 to compile every
-/// recording site out; default is compiled-in.
-#ifndef EVM_DECISIONS
-#define EVM_DECISIONS 1
-#endif
 
 namespace evm {
 
@@ -127,18 +118,9 @@ public:
   /// everything shed is counted in droppedRecords().
   explicit DecisionLedger(size_t MaxRecords = size_t(1) << 16);
 
-  /// Runtime flag.  With EVM_DECISIONS compiled out this is a constant
-  /// false and every guarded site folds away.
-  bool enabled() const {
-#if EVM_DECISIONS
-    return Enabled;
-#else
-    return false;
-#endif
-  }
-
-  /// No-op when the gate is compiled out.
-  void setEnabled(bool On);
+  /// Runtime flag.
+  bool enabled() const { return Enabled; }
+  void setEnabled(bool On) { Enabled = On; }
 
   /// Appends one record (dropping the oldest when the ring is full).
   void record(DecisionRecord R);

@@ -10,28 +10,20 @@
 
 using namespace evm;
 
-#if EVM_PROFILING
-thread_local PhaseProfiler *PhaseProfiler::Installed = nullptr;
-#endif
+constinit thread_local PhaseProfiler *PhaseProfiler::Installed = nullptr;
 
 PhaseProfiler::PhaseProfiler() {
   Nodes.push_back(Node()); // synthetic root
   Stack.push_back(0);
 }
 
-ProfilerInstallGuard::ProfilerInstallGuard(PhaseProfiler *P) {
-#if EVM_PROFILING
-  Previous = PhaseProfiler::Installed;
+ProfilerInstallGuard::ProfilerInstallGuard(PhaseProfiler *P)
+    : Previous(PhaseProfiler::Installed) {
   PhaseProfiler::Installed = P;
-#else
-  (void)P;
-#endif
 }
 
 ProfilerInstallGuard::~ProfilerInstallGuard() {
-#if EVM_PROFILING
   PhaseProfiler::Installed = Previous;
-#endif
 }
 
 int32_t PhaseProfiler::childOf(int32_t Parent, std::string_view Name) {

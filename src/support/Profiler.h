@@ -14,13 +14,10 @@
 /// measures: profiled and unprofiled runs are cycle-identical by
 /// construction (pinned by tests/test_profiler.cpp).
 ///
-/// Cost model, same discipline as support/Trace.h's EVM_TRACING:
+/// Cost model:
 ///
-///   * `-DEVM_PROFILING=OFF` compiles every site out — PROF_SCOPE expands
-///     to nothing and PhaseProfiler::current() folds to a constant null, so
-///     each `if (auto *P = PhaseProfiler::current())` block is dead code.
-///   * Compiled in but not installed (the runtime flag is "a profiler is
-///     installed on this thread"), every site costs one pointer test.
+///   * Not installed (the runtime flag is "a profiler is installed on this
+///     thread"), every site costs one pointer test.
 ///   * Installed, sites cost host time only; zero virtual cycles ever.
 ///
 /// The tree distinguishes three roots by convention:
@@ -51,12 +48,6 @@
 #include <string>
 #include <string_view>
 #include <vector>
-
-/// Compile-time gate.  The build defines EVM_PROFILING=0 to compile every
-/// profiling site out; default is compiled-in.
-#ifndef EVM_PROFILING
-#define EVM_PROFILING 1
-#endif
 
 namespace evm {
 
@@ -118,16 +109,8 @@ class PhaseProfiler {
 public:
   PhaseProfiler();
 
-  /// The profiler installed on this thread, or null.  With EVM_PROFILING
-  /// compiled out this is a constant null and every guarded site folds
-  /// away.
-  static PhaseProfiler *current() {
-#if EVM_PROFILING
-    return Installed;
-#else
-    return nullptr;
-#endif
-  }
+  /// The profiler installed on this thread, or null.
+  static PhaseProfiler *current() { return Installed; }
 
   /// Pushes a child frame named \p Name under the current node (creating
   /// it on first entry) and bumps its enter count.  Re-entering the
@@ -195,9 +178,9 @@ private:
 
   std::vector<Node> Nodes;    ///< Nodes[0] is the synthetic root ("")
   std::vector<int32_t> Stack; ///< open scopes; Stack.back() = current
-#if EVM_PROFILING
-  static thread_local PhaseProfiler *Installed;
-#endif
+  /// constinit (here and at the definition) lets every translation unit
+  /// access the variable directly instead of through a TLS wrapper call.
+  static constinit thread_local PhaseProfiler *Installed;
 };
 
 /// Installs a profiler as the thread's PhaseProfiler::current() for the
@@ -211,9 +194,7 @@ public:
   ProfilerInstallGuard &operator=(const ProfilerInstallGuard &) = delete;
 
 private:
-#if EVM_PROFILING
   PhaseProfiler *Previous;
-#endif
 };
 
 /// RAII scope over PhaseProfiler::current().  Null-safe: without an
@@ -236,15 +217,11 @@ private:
   PhaseProfiler *Profiler;
 };
 
-#if EVM_PROFILING
 #define EVM_PROF_CONCAT_IMPL(A, B) A##B
 #define EVM_PROF_CONCAT(A, B) EVM_PROF_CONCAT_IMPL(A, B)
 /// Opens a named phase for the rest of the enclosing block.
 #define PROF_SCOPE(NAME)                                                     \
   ::evm::ScopedPhase EVM_PROF_CONCAT(ProfScope_, __LINE__)(NAME)
-#else
-#define PROF_SCOPE(NAME) ((void)0)
-#endif
 
 } // namespace evm
 

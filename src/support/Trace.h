@@ -9,14 +9,12 @@
 /// invocations, profiler samples, cost-benefit evaluations, compile-queue
 /// scheduling, level transitions, and Evolve predictions.  Timestamps are
 /// **virtual-clock cycles**, so two identical runs produce bit-identical
-/// traces no matter how the OS schedules the background compile workers.
+/// traces.
 ///
-/// Cost model: with the `EVM_TRACING` macro compiled out (cmake
-/// -DEVM_TRACING=OFF) every record call is dead code; with it compiled in
-/// but the runtime flag off, a record call costs one predictable branch
-/// (`enabled()` is checked before events are even constructed).  Recording
-/// never charges virtual cycles, so enabling tracing cannot perturb the
-/// modeled machine.
+/// Cost model: with the runtime flag off, a record call costs one
+/// predictable branch (`enabled()` is checked before events are even
+/// constructed).  Recording never charges virtual cycles, so enabling
+/// tracing cannot perturb the modeled machine.
 ///
 /// Events carry a fixed POD payload (A/B/C uint64 slots plus one double X)
 /// whose meaning depends on the kind; the taxonomy is documented per kind
@@ -36,13 +34,6 @@
 #include <optional>
 #include <string>
 #include <vector>
-
-/// Compile-time gate.  The build defines EVM_TRACING=0 to compile the
-/// recorder out entirely (enabled() folds to false and every trace block is
-/// dead code); default is compiled-in.
-#ifndef EVM_TRACING
-#define EVM_TRACING 1
-#endif
 
 namespace evm {
 
@@ -125,7 +116,7 @@ struct TraceEvent {
 };
 
 /// The growable event arena.  Appends take a mutex so the recorder stays
-/// race-free even if future code records from worker threads; all current
+/// race-free when several threads share it; all current engine
 /// producers run on the execution thread, which is what makes append order
 /// (and therefore export order) deterministic.
 class TraceRecorder {
@@ -136,15 +127,8 @@ public:
   explicit TraceRecorder(size_t MaxEvents = size_t(1) << 22)
       : MaxEvents(MaxEvents) {}
 
-  /// The runtime flag.  With EVM_TRACING compiled out this is always
-  /// false and trace blocks behind it fold away.
-  bool enabled() const {
-#if EVM_TRACING
-    return Enabled;
-#else
-    return false;
-#endif
-  }
+  /// The runtime flag.
+  bool enabled() const { return Enabled; }
 
   void setEnabled(bool On) { Enabled = On; }
 
@@ -152,13 +136,9 @@ public:
   /// event construction with enabled() themselves; this re-check keeps the
   /// slow path safe regardless.
   void record(const TraceEvent &E) {
-#if EVM_TRACING
     if (!Enabled)
       return;
     append(E);
-#else
-    (void)E;
-#endif
   }
 
   void clear();

@@ -14,25 +14,6 @@ CompileWorkerPool::CompileWorkerPool(const bc::Module &M,
       QueueDelay(TM.CompileQueueDelayCycles) {
   unsigned N = std::max<unsigned>(1, static_cast<unsigned>(TM.NumCompileWorkers));
   WorkerFreeCycle.assign(N, 0);
-  Threads.reserve(N);
-  for (unsigned I = 0; I != N; ++I)
-    Threads.emplace_back([this] { workerMain(); });
-}
-
-CompileWorkerPool::~CompileWorkerPool() {
-  Queue.shutdown();
-  for (std::thread &T : Threads)
-    T.join();
-}
-
-void CompileWorkerPool::workerMain() {
-  while (std::optional<CompileRequest> R = Queue.pop()) {
-    CompileResult Result;
-    Result.Request = *R;
-    Result.Code = std::make_shared<jit::CompiledFunction>(
-        jit::compileAtLevel(M, R->Method, R->Level));
-    Queue.postResult(std::move(Result));
-  }
 }
 
 bool CompileWorkerPool::hasPending(bc::MethodId Id, OptLevel L) const {
@@ -63,10 +44,6 @@ bool CompileWorkerPool::request(bc::MethodId Id, OptLevel L,
     }
     return false;
   }
-  // The capacity bound is checked against the *virtual* in-flight set (an
-  // execution-thread quantity), never against host-queue occupancy: whether
-  // a request is dropped must not depend on how fast the real worker
-  // threads happen to drain the queue.
   if (InFlight.size() >= Capacity) {
     ++DroppedRequests;
     if (Tracing) {
@@ -98,17 +75,15 @@ bool CompileWorkerPool::request(bc::MethodId Id, OptLevel L,
   R.StartCycle = std::max(NowCycles + QueueDelay, WorkerFreeCycle[W]);
   R.ReadyAtCycle = R.StartCycle + CostCycles;
 
-  Queue.push(R);
   ++NextSeqNo;
   WorkerFreeCycle[W] = R.ReadyAtCycle;
   OverlappedCycles += CostCycles;
   InFlight.push_back(R);
 
   if (Tracing) {
-    // All three pipeline stages are emitted here, on the execution thread:
-    // the virtual scheduler already fixed the start/ready cycles, so the
-    // future-stamped events are exact and no worker-side recording (with
-    // its host-race ordering) is needed.
+    // All three pipeline stages are emitted here, at request time: the
+    // virtual scheduler already fixed the start/ready cycles, so the
+    // future-stamped events are exact.
     TraceEvent E;
     E.Method = Id;
     E.Level = static_cast<int8_t>(L);
@@ -146,7 +121,7 @@ CompileWorkerPool::takeReady(uint64_t NowCycles) {
       ++I;
     }
   }
-  // ...in deterministic install order, then block on each host compile.
+  // ...in deterministic install order, then compile each one.
   std::sort(Due.begin(), Due.end(),
             [](const CompileRequest &A, const CompileRequest &B) {
               return A.ReadyAtCycle != B.ReadyAtCycle
@@ -155,7 +130,8 @@ CompileWorkerPool::takeReady(uint64_t NowCycles) {
             });
   Ready.reserve(Due.size());
   for (const CompileRequest &R : Due)
-    Ready.push_back(Queue.takeResult(R.SeqNo));
+    Ready.push_back({R, std::make_shared<jit::CompiledFunction>(
+                            jit::compileAtLevel(M, R.Method, R.Level))});
   return Ready;
 }
 
@@ -167,7 +143,6 @@ uint64_t CompileWorkerPool::backlogCycles(uint64_t NowCycles) const {
 }
 
 void CompileWorkerPool::reset() {
-  Queue.drainAndDiscard();
   InFlight.clear();
   std::fill(WorkerFreeCycle.begin(), WorkerFreeCycle.end(), 0);
   OverlappedCycles = 0;

@@ -6,10 +6,9 @@
 ///
 /// \file
 /// CompileWorkerPool: the background compilation pipeline modeled on Jikes
-/// RVM's dedicated compilation thread.  Real std::threads run
-/// jit::compileAtLevel off the execution thread; *when* the finished code
-/// becomes installable is decided by a deterministic virtual scheduler that
-/// runs entirely on the execution thread:
+/// RVM's dedicated compilation thread.  The workers are *virtual*: a
+/// deterministic scheduler on the execution thread decides which worker
+/// takes a request and when the finished code becomes installable:
 ///
 ///   StartCycle   = max(RequestCycle + CompileQueueDelayCycles,
 ///                      WorkerFreeCycle[w])      (w = earliest-free worker,
@@ -17,36 +16,52 @@
 ///   ReadyAtCycle = StartCycle + CostCycles
 ///   WorkerFreeCycle[w] = ReadyAtCycle
 ///
-/// Because worker assignment and ready times never consult the host clock
-/// or real thread progress, two runs with the same seed and worker count
-/// produce bit-identical virtual clocks; the real threads only determine
-/// how much *host* time the simulation spends waiting in takeReady().
+/// The code itself is compiled on the execution thread when takeReady()
+/// hands it out.  jit::compileAtLevel is pure and its host time never
+/// reaches the virtual clock, so two runs with the same seed and worker
+/// count produce bit-identical clocks.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef EVM_VM_COMPILEWORKER_H
 #define EVM_VM_COMPILEWORKER_H
 
+#include "bytecode/Module.h"
 #include "support/Trace.h"
-#include "vm/CompileQueue.h"
+#include "vm/Timing.h"
+#include "vm/jit/Compiler.h"
 
-#include <thread>
+#include <memory>
 #include <vector>
 
 namespace evm {
 namespace vm {
 
-/// A pool of background compile workers for one module.  All methods except
-/// the worker entry point must be called from the execution thread.
+/// One background compilation request, scheduled on the virtual timeline
+/// by CompileWorkerPool::request.
+struct CompileRequest {
+  bc::MethodId Method = 0;
+  OptLevel Level = OptLevel::O0;
+  uint64_t SeqNo = 0;        ///< enqueue order; deterministic install tiebreak
+  uint64_t RequestCycle = 0; ///< virtual cycle the request was issued
+  uint64_t StartCycle = 0;   ///< virtual cycle the assigned worker begins
+  uint64_t ReadyAtCycle = 0; ///< virtual cycle the code becomes installable
+  uint64_t CostCycles = 0;   ///< modeled compile cost (worker-timeline time)
+  unsigned Worker = 0;       ///< virtual worker index
+};
+
+/// A finished background compilation: the request plus the compiled code.
+struct CompileResult {
+  CompileRequest Request;
+  std::shared_ptr<const jit::CompiledFunction> Code;
+};
+
+/// A pool of virtual background compile workers for one module.
 class CompileWorkerPool {
 public:
-  /// Spawns TM.NumCompileWorkers real threads (at least one; a pool is only
+  /// Models TM.NumCompileWorkers workers (at least one; a pool is only
   /// created when the model is asynchronous).
   CompileWorkerPool(const bc::Module &M, const TimingModel &TM);
-  ~CompileWorkerPool();
-
-  CompileWorkerPool(const CompileWorkerPool &) = delete;
-  CompileWorkerPool &operator=(const CompileWorkerPool &) = delete;
 
   /// Enqueues a background compile of \p Id at \p L issued at virtual cycle
   /// \p NowCycles with modeled cost \p CostCycles.  Returns false when the
@@ -60,19 +75,16 @@ public:
   /// True when a compile of \p Id at a level >= \p L is in flight.
   bool hasPending(bc::MethodId Id, OptLevel L) const;
 
-  /// Removes and returns every request whose ReadyAtCycle <= \p NowCycles,
-  /// ordered by (ReadyAtCycle, SeqNo).  Blocks on the real worker thread
-  /// when virtual time has already arrived but the host compile has not
-  /// finished — waiting does not advance the virtual clock, so determinism
-  /// is unaffected.
+  /// Removes every request whose ReadyAtCycle <= \p NowCycles, compiles
+  /// each one, and returns them ordered by (ReadyAtCycle, SeqNo).
   std::vector<CompileResult> takeReady(uint64_t NowCycles);
 
   /// Virtual cycles until the earliest virtual worker frees up (0 when one
   /// is idle): the queue-delay term the cost-benefit model prices.
   uint64_t backlogCycles(uint64_t NowCycles) const;
 
-  /// Waits for all in-flight host compiles, discards their results, and
-  /// rewinds the virtual timelines.  Called by the engine between runs.
+  /// Discards every in-flight request uncompiled and rewinds the virtual
+  /// timelines.  Called by the engine between runs.
   void reset();
 
   /// Virtual cycles spent compiling on worker timelines since the last
@@ -94,21 +106,16 @@ public:
   void setTracer(TraceRecorder *T) { Tracer = T; }
 
 private:
-  void workerMain();
-
   const bc::Module &M;
   const uint64_t Capacity;   ///< max in-flight (not yet installed) requests
   const uint64_t QueueDelay; ///< TM.CompileQueueDelayCycles
-  CompileQueue Queue;
-  std::vector<std::thread> Threads;
 
-  // Execution-thread state (never touched by workers).
   std::vector<uint64_t> WorkerFreeCycle; ///< virtual timeline per worker
   std::vector<CompileRequest> InFlight;  ///< awaiting install, by SeqNo
   uint64_t NextSeqNo = 0;
   uint64_t OverlappedCycles = 0;
   uint64_t DroppedRequests = 0;
-  TraceRecorder *Tracer = nullptr; ///< written to from the execution thread
+  TraceRecorder *Tracer = nullptr;
 };
 
 } // namespace vm

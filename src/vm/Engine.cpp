@@ -684,7 +684,7 @@ ErrorOr<RunResult> ExecutionEngine::run(const std::vector<Value> &Args,
     Workers->setTracer(Tracer);
   }
   if (Workers)
-    Workers->reset(); // drain in-flight compiles, rewind virtual timelines
+    Workers->reset(); // drop in-flight compiles, rewind virtual timelines
   NextSampleAt = TM.SampleIntervalCycles / 2 +
                  SamplePhaseCycles % std::max<uint64_t>(
                                          1, TM.SampleIntervalCycles);

@@ -68,8 +68,8 @@ public:
   /// Swaps the compilation policy for subsequent run()s (may be null).
   /// Long-lived hosts (the evolvable VM) change policy per production run
   /// while keeping one engine — and with it one background worker pool —
-  /// alive across runs instead of respawning threads every run.  The
-  /// pointer is only dereferenced during run(), never stored across it.
+  /// alive across runs.  The pointer is only dereferenced during run(),
+  /// never stored across it.
   void setPolicy(CompilationPolicy *P) { Policy = P; }
 
   /// Attaches an event recorder (may be null to detach).  The engine emits

@@ -13,6 +13,7 @@
 #include "vm/Eval.h"
 
 #include <map>
+#include <optional>
 #include <unordered_map>
 
 using namespace evm;
@@ -28,9 +29,13 @@ bool jit::foldConstantsLocal(IRFunction &F) {
   bool Changed = false;
   for (IRBlock &Block : F.Blocks) {
     std::unordered_map<Reg, Value> Consts;
-    auto Lookup = [&](Reg R) -> const Value * {
+    // By value: Invalidate(I.Dest) erases the entry when Dest is also a
+    // source, so a pointer into Consts would dangle.
+    auto Lookup = [&](Reg R) -> std::optional<Value> {
       auto It = Consts.find(R);
-      return It == Consts.end() ? nullptr : &It->second;
+      if (It == Consts.end())
+        return std::nullopt;
+      return It->second;
     };
     auto Invalidate = [&](Reg R) { Consts.erase(R); };
 
@@ -41,7 +46,7 @@ bool jit::foldConstantsLocal(IRFunction &F) {
         Consts.emplace(I.Dest, I.Imm);
         break;
       case IROp::Mov:
-        if (const Value *V = Lookup(I.A)) {
+        if (std::optional<Value> V = Lookup(I.A)) {
           I.Op = IROp::MovImm;
           I.Imm = *V;
           Invalidate(I.Dest);
@@ -52,7 +57,7 @@ bool jit::foldConstantsLocal(IRFunction &F) {
         }
         break;
       case IROp::Binary: {
-        const Value *A = Lookup(I.A), *B = Lookup(I.B);
+        std::optional<Value> A = Lookup(I.A), B = Lookup(I.B);
         Invalidate(I.Dest);
         if (A && B) {
           TrapKind Trap;
@@ -67,7 +72,7 @@ bool jit::foldConstantsLocal(IRFunction &F) {
         break;
       }
       case IROp::Unary: {
-        const Value *A = Lookup(I.A);
+        std::optional<Value> A = Lookup(I.A);
         Invalidate(I.Dest);
         if (A) {
           TrapKind Trap;
@@ -81,7 +86,7 @@ bool jit::foldConstantsLocal(IRFunction &F) {
         break;
       }
       case IROp::CondJump:
-        if (const Value *V = Lookup(I.A)) {
+        if (std::optional<Value> V = Lookup(I.A)) {
           BlockId Target = V->isTruthy() ? I.Target : I.Target2;
           I.Op = IROp::Jump;
           I.Target = Target;

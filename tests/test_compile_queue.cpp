@@ -1,11 +1,11 @@
 //===- tests/test_compile_queue.cpp - Background pipeline unit tests ------==//
 //
-// Unit tests for the background compilation pipeline: CompileQueue host
-// handoff ordering, CompileWorkerPool's deterministic virtual scheduler
-// (worker assignment, start/ready cycles, backlog), duplicate-request
-// coalescing and capacity drops, and the engine-level guarantees — with
-// NumCompileWorkers=0 nothing changes versus the synchronous engine, and
-// with workers > 0 the virtual clock is bit-identical across repeated runs.
+// Unit tests for the background compilation pipeline: CompileWorkerPool's
+// deterministic virtual scheduler (worker assignment, start/ready cycles,
+// backlog), duplicate-request coalescing and capacity drops, and the
+// engine-level guarantees — with NumCompileWorkers=0 nothing changes
+// versus the synchronous engine, and with workers > 0 the virtual clock is
+// bit-identical across repeated runs and pinned to golden values.
 //
 //===----------------------------------------------------------------------===//
 
@@ -16,6 +16,8 @@
 #include "TestHelpers.h"
 
 #include <gtest/gtest.h>
+
+#include <iterator>
 
 using namespace evm;
 using namespace evm::vm;
@@ -161,8 +163,8 @@ TEST(CompileWorkerPool, DropsBeyondCapacityDeterministically) {
   CompileWorkerPool Pool(M, TM);
   ASSERT_TRUE(Pool.request(0, OptLevel::O1, 0, 100));
   ASSERT_TRUE(Pool.request(1, OptLevel::O1, 0, 100));
-  // The bound is on the *virtual* in-flight set, so this drop happens no
-  // matter how quickly the host worker drains the first two compiles.
+  // The bound is on the virtual in-flight set: two requests not yet
+  // installed fill it.
   EXPECT_FALSE(Pool.request(2, OptLevel::O1, 0, 100));
   EXPECT_EQ(Pool.droppedRequests(), 1u);
   (void)Pool.takeReady(100000); // install both -> capacity is free again
@@ -198,30 +200,46 @@ TEST(BackgroundCompilation, ZeroWorkersMatchesSynchronousEngine) {
 TEST(BackgroundCompilation, AsyncRunsAreBitIdenticalAcrossRepeats) {
   bc::Module M = hotLoopModule();
   TimingModel TM = asyncModel(2, /*QueueDelay=*/200);
-  auto runOnce = [&] {
+  // Golden values recorded when each compile still ran on its own host
+  // thread: compiling on the execution thread at install time must give
+  // the same virtual results.
+  struct GoldenCompile {
+    bc::MethodId Method;
+    OptLevel Level;
+    uint64_t AtCycle;
+    uint64_t RequestedAtCycle;
+  };
+  const GoldenCompile Golden[] = {
+      {0, OptLevel::Baseline, 110, 0},
+      {1, OptLevel::Baseline, 306, 238},
+      {0, OptLevel::O0, 33200, 25000},
+      {0, OptLevel::O1, 113202, 75002},
+      {1, OptLevel::O0, 129004, 125004},
+      {1, OptLevel::O1, 342210, 325010},
+      {0, OptLevel::O2, 375201, 225001},
+      {1, OptLevel::O2, 491201, 425001},
+  };
+  // Repeat several times: the virtual clock must never vary.
+  for (int Rep = 0; Rep != 5; ++Rep) {
+    SCOPED_TRACE("repeat " + std::to_string(Rep));
     AdaptivePolicy Policy(TM);
     ExecutionEngine Engine(M, TM, &Policy);
     auto R = Engine.run({bc::Value::makeInt(20000)}, 2000000000ULL);
-    EXPECT_TRUE(static_cast<bool>(R));
-    return *R;
-  };
-  RunResult First = runOnce();
-  // Repeat several times: OS scheduling of the real worker threads varies,
-  // the virtual clock must not.
-  for (int I = 0; I != 4; ++I) {
-    RunResult R = runOnce();
-    EXPECT_TRUE(R.ReturnValue.equals(First.ReturnValue));
-    EXPECT_EQ(R.Cycles, First.Cycles);
-    EXPECT_EQ(R.stallCompileCycles(), First.stallCompileCycles());
-    EXPECT_EQ(R.overlappedCompileCycles(), First.overlappedCompileCycles());
-    EXPECT_EQ(R.droppedCompiles(), First.droppedCompiles());
-    ASSERT_EQ(R.Compiles.size(), First.Compiles.size());
-    for (size_t I2 = 0; I2 != R.Compiles.size(); ++I2) {
-      EXPECT_EQ(R.Compiles[I2].Method, First.Compiles[I2].Method);
-      EXPECT_EQ(R.Compiles[I2].Level, First.Compiles[I2].Level);
-      EXPECT_EQ(R.Compiles[I2].AtCycle, First.Compiles[I2].AtCycle);
-      EXPECT_EQ(R.Compiles[I2].RequestedAtCycle,
-                First.Compiles[I2].RequestedAtCycle);
+    ASSERT_TRUE(static_cast<bool>(R));
+    ASSERT_TRUE(R->ReturnValue.isInt());
+    EXPECT_EQ(R->ReturnValue.asInt(), 2666466690000);
+    EXPECT_EQ(R->Cycles, 2749546u);
+    EXPECT_EQ(R->stallCompileCycles(), 178u);
+    EXPECT_EQ(R->overlappedCompileCycles(), 282800u);
+    EXPECT_EQ(R->droppedCompiles(), 0u);
+    ASSERT_EQ(R->Compiles.size(), std::size(Golden));
+    for (size_t I = 0; I != std::size(Golden); ++I) {
+      const CompileEvent &E = R->Compiles[I];
+      EXPECT_EQ(E.Method, Golden[I].Method) << "compile " << I;
+      EXPECT_EQ(E.Level, Golden[I].Level) << "compile " << I;
+      EXPECT_EQ(E.AtCycle, Golden[I].AtCycle) << "compile " << I;
+      EXPECT_EQ(E.RequestedAtCycle, Golden[I].RequestedAtCycle)
+          << "compile " << I;
     }
   }
 }

@@ -80,8 +80,7 @@ TEST(DecisionLedgerTest, EnabledLedgerIsObservationOnly) {
   Ledger.setEnabled(true);
   ScenarioResult Observed = runEvolveWith(&Ledger, 30);
   expectSameMetrics(Bare, Observed);
-  if (Ledger.enabled()) // false when built with EVM_DECISIONS=0
-    EXPECT_EQ(Ledger.size(), Bare.Runs.size());
+  EXPECT_EQ(Ledger.size(), Bare.Runs.size());
 }
 
 TEST(DecisionLedgerTest, DisabledLedgerRecordsNothing) {
@@ -97,8 +96,6 @@ TEST(DecisionLedgerTest, JsonlRoundTripsByteIdentical) {
   DecisionLedger Ledger;
   Ledger.setEnabled(true);
   runEvolveWith(&Ledger, 30);
-  if (!Ledger.enabled())
-    GTEST_SKIP() << "built with EVM_DECISIONS=0";
   LedgerProvenance Prov;
   Prov.GitSha = "0123abcd";
   Prov.Compiler = "GNU";
@@ -116,8 +113,6 @@ TEST(DecisionLedgerTest, JsonlRoundTripsByteIdentical) {
 TEST(DecisionLedgerTest, RingKeepsNewestAndCountsShed) {
   DecisionLedger Ring(4);
   Ring.setEnabled(true);
-  if (!Ring.enabled())
-    GTEST_SKIP() << "built with EVM_DECISIONS=0";
   for (uint64_t I = 1; I <= 10; ++I) {
     DecisionRecord R;
     R.App = "ring";
@@ -168,8 +163,6 @@ TEST(DecisionLedgerTest, RecordsAgreeWithRunMetrics) {
   DecisionLedger Ledger;
   Ledger.setEnabled(true);
   ScenarioResult R = runEvolveWith(&Ledger, 30);
-  if (!Ledger.enabled())
-    GTEST_SKIP() << "built with EVM_DECISIONS=0";
   std::vector<DecisionRecord> Records = Ledger.exportOrder();
   ASSERT_EQ(Records.size(), R.Runs.size());
   bool SawPrediction = false;
@@ -217,12 +210,6 @@ TEST(DecisionLedgerTest, FleetFoldIsThreadInvariant) {
     FleetResult R = Runner.run();
     std::string Jsonl = renderJsonlDecisions(R.Decisions);
     std::string Json = R.renderJson();
-    DecisionLedger Probe;
-    Probe.setEnabled(true);
-    if (!Probe.enabled()) {
-      EXPECT_TRUE(R.Decisions.empty());
-      continue; // EVM_DECISIONS=0: nothing to fold, aggregate still works
-    }
     EXPECT_FALSE(R.Decisions.empty());
     // Tenant ids stamped and nondecreasing across the fold.
     int64_t LastTenant = -1;

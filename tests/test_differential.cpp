@@ -200,8 +200,7 @@ TEST(Differential, BackgroundPipelineMatchesSynchronous) {
 TEST(Differential, TracedBackgroundPipelineIsDeterministic) {
   // Tracing must be a pure observer: attaching a recorder to the async
   // pipeline changes neither results nor virtual time, and two identical
-  // traced runs produce byte-identical event streams.  The TSan build runs
-  // this test to race-check the recorder against the worker threads.
+  // traced runs produce byte-identical event streams.
   for (uint64_t Seed = SeedBase; Seed != SeedBase + 10; ++Seed) {
     SCOPED_TRACE("seed=" + std::to_string(Seed));
     auto MOrErr = wl::generateRandomProgram(Seed);

@@ -114,6 +114,38 @@ TEST(ConstantFoldingTest, FoldsUnary) {
   EXPECT_EQ(countOps(F, IROp::Unary), 0u);
 }
 
+TEST(ConstantFoldingTest, FoldsWhenDestIsAlsoSource) {
+  // MovImm r1,5; Mov r1,r1; Binary r1=r1+r1; Unary r1=-r1; Ret r1.  Each
+  // fold redefines the register it reads.
+  IRFunction F;
+  F.NumRegs = 2;
+  F.Blocks.resize(1);
+  auto Emit = [&](IROp Op, bc::Opcode Scalar = bc::Opcode::Nop) {
+    IRInstr I;
+    I.Op = Op;
+    I.ScalarOp = Scalar;
+    I.Dest = 1;
+    I.A = 1;
+    I.B = 1;
+    F.Blocks[0].Instrs.push_back(I);
+    return &F.Blocks[0].Instrs.back();
+  };
+  Emit(IROp::MovImm)->Imm = bc::Value::makeInt(5);
+  Emit(IROp::Mov);
+  Emit(IROp::Binary, bc::Opcode::Add);
+  Emit(IROp::Unary, bc::Opcode::Neg);
+  Emit(IROp::Ret);
+  EXPECT_TRUE(foldConstantsLocal(F));
+  const std::vector<IRInstr> &Is = F.Blocks[0].Instrs;
+  const int64_t Want[] = {5, 5, 10, -10};
+  for (size_t K = 0; K != 4; ++K) {
+    ASSERT_EQ(Is[K].Op, IROp::MovImm) << "instr " << K;
+    ASSERT_TRUE(Is[K].Imm.isInt()) << "instr " << K;
+    EXPECT_EQ(Is[K].Imm.asInt(), Want[K]) << "instr " << K;
+  }
+  EXPECT_EQ(Is[4].Op, IROp::Ret);
+}
+
 //===----------------------------------------------------------------------===//
 // Copy propagation
 //===----------------------------------------------------------------------===//

@@ -6,8 +6,7 @@
 //     synchronous, adaptive with background workers), each asserting that
 //     virtual cycle counts are bit-for-bit identical across {plain,
 //     profiler installed, tracer enabled, both} — the observability stack
-//     must be free on the modeled machine, and with EVM_PROFILING=OFF /
-//     EVM_TRACING=OFF these same equalities pin the compiled-out builds;
+//     must be free on the modeled machine;
 //   * the paper's Sec. V.B.2 claim on the profiler's own evidence: the
 //     evolvable VM's runtime overhead (XICL characterization + tree
 //     prediction) stays under 1% of total run cycles on a Table-1-style
@@ -101,7 +100,6 @@ TEST(PerfSmoke, ModeOrderingMatchesTimingModel) {
   EXPECT_GT(Baseline, 0u);
 }
 
-#if EVM_PROFILING
 TEST(PerfSmoke, EvolveRuntimeOverheadStaysUnderOnePercent) {
   wl::Workload W = wl::buildWorkload("Mtrt", Seed);
   harness::ExperimentConfig C;
@@ -122,4 +120,3 @@ TEST(PerfSmoke, EvolveRuntimeOverheadStaysUnderOnePercent) {
   EXPECT_LT(static_cast<double>(Overhead), 0.01 * static_cast<double>(Total))
       << "overhead " << Overhead << " of " << Total << " cycles";
 }
-#endif

@@ -3,9 +3,7 @@
 // The profiling acceptance battery:
 //
 //   * installing the profiler never changes virtual cycle counts — the
-//     unprofiled and profiled runs are cycle-identical (this also pins the
-//     EVM_PROFILING=OFF build: the compiled-out sites are exactly the
-//     branches the not-installed path skips);
+//     unprofiled and profiled runs are cycle-identical;
 //   * two identical profiled replays produce byte-identical JSON,
 //     collapsed-stack, and speedscope exports;
 //   * the "run" subtree total equals the sum of RunResult::Cycles over the
@@ -95,11 +93,7 @@ TEST(Profiler, IdenticalRunsProduceByteIdenticalProfiles) {
   EXPECT_EQ(A.renderJson(), B.renderJson());
   EXPECT_EQ(A.renderCollapsed(), B.renderCollapsed());
   EXPECT_EQ(A.renderSpeedscope("x"), B.renderSpeedscope("x"));
-#if EVM_PROFILING
   EXPECT_FALSE(A.empty());
-#else
-  EXPECT_TRUE(A.empty());
-#endif
 }
 
 TEST(Profiler, RunSubtreeEqualsSumOfRunCycles) {
@@ -119,7 +113,6 @@ TEST(Profiler, RunSubtreeEqualsSumOfRunCycles) {
     EXPECT_EQ(R->Phases.totalUnder("run"),
               Profiler.snapshot().totalUnder("run"));
   }
-#if EVM_PROFILING
   PhaseTreeSnapshot S = Profiler.snapshot();
   EXPECT_EQ(S.totalUnder("run"), Sum);
   EXPECT_GT(Sum, 0u);
@@ -129,10 +122,8 @@ TEST(Profiler, RunSubtreeEqualsSumOfRunCycles) {
   EXPECT_TRUE(anyStackContains(S, "interp"));
   EXPECT_TRUE(anyStackContains(S, "aos/sample"));
   EXPECT_EQ(S.totalUnder("background"), 0u);
-#endif
 }
 
-#if EVM_PROFILING
 TEST(Profiler, ScenarioPopulatesAllThreeRoots) {
   PhaseTreeSnapshot S = runProfiledScenario();
   // Execution clock.
@@ -149,7 +140,6 @@ TEST(Profiler, ScenarioPopulatesAllThreeRoots) {
   EXPECT_GT(S.totalUnder("run;overhead;xicl/characterize"), 0u);
   EXPECT_GT(S.totalUnder("run;overhead;ml/predict"), 0u);
 }
-#endif
 
 TEST(Profiler, AttributeChildClampsAndMoves) {
   PhaseProfiler P;

@@ -316,7 +316,8 @@ TEST(MetricsTest, HistogramWithNoSamplesIsAbsent) {
 TEST(MetricsTest, HistogramSingleSamplePercentiles) {
   MetricsRegistry Reg;
   Reg.observe("lat", 42.0);
-  const MetricValue *H = Reg.snapshot().find("lat");
+  MetricsSnapshot S = Reg.snapshot();
+  const MetricValue *H = S.find("lat");
   ASSERT_NE(H, nullptr);
   EXPECT_EQ(H->Box.Count, 1u);
   EXPECT_EQ(H->Box.Min, 42.0);
@@ -330,7 +331,8 @@ TEST(MetricsTest, HistogramAllIdenticalSamples) {
   MetricsRegistry Reg;
   for (int I = 0; I != 10; ++I)
     Reg.observe("lat", 7.0);
-  const MetricValue *H = Reg.snapshot().find("lat");
+  MetricsSnapshot S = Reg.snapshot();
+  const MetricValue *H = S.find("lat");
   ASSERT_NE(H, nullptr);
   EXPECT_EQ(H->Box.Q25, 7.0);
   EXPECT_EQ(H->Box.Median, 7.0);
@@ -346,7 +348,8 @@ TEST(MetricsTest, HistogramP99OnTwoSamplesInterpolates) {
   MetricsRegistry Reg;
   Reg.observe("lat", 10.0);
   Reg.observe("lat", 20.0);
-  const MetricValue *H = Reg.snapshot().find("lat");
+  MetricsSnapshot S = Reg.snapshot();
+  const MetricValue *H = S.find("lat");
   ASSERT_NE(H, nullptr);
   EXPECT_NEAR(H->P99, 19.9, 1e-9);
   EXPECT_NEAR(H->P90, 19.0, 1e-9);

@@ -5,8 +5,7 @@
 //   * two identical traced scenario replays (background workers on) produce
 //     byte-identical JSONL traces and metrics snapshots;
 //   * attaching an enabled recorder never changes virtual cycle counts
-//     (recording is free on the modeled machine, so the tracing-disabled
-//     and EVM_TRACING=OFF builds are cycle-identical by construction);
+//     (recording is free on the modeled machine);
 //   * the JSONL schema round-trips through parseJsonlTraceLine and only
 //     contains known event kinds;
 //   * the Chrome exporter emits the metadata and span events Perfetto
@@ -76,10 +75,7 @@ TEST(Trace, IdenticalRunsProduceByteIdenticalTraces) {
 }
 
 TEST(Trace, TracingNeverChangesVirtualTime) {
-  // An enabled recorder must be invisible to the modeled machine.  With
-  // EVM_TRACING=OFF every record site is dead code on exactly the path the
-  // disabled-at-runtime branch takes, so this equality also pins the
-  // compiled-out build's cycle counts.
+  // An enabled recorder must be invisible to the modeled machine.
   wl::Workload W = wl::buildWorkload("Compress", Seed);
   const wl::InputCase &Input = W.Inputs[W.Inputs.size() / 2];
   auto runMaybeTraced = [&](TraceRecorder *Tracer) {
@@ -100,11 +96,7 @@ TEST(Trace, TracingNeverChangesVirtualTime) {
   EXPECT_EQ(PlainCycles, DisabledCycles);
   EXPECT_EQ(PlainCycles, EnabledCycles);
   EXPECT_EQ(Disabled.size(), 0u);
-#if EVM_TRACING
   EXPECT_GT(Enabled.size(), 0u);
-#else
-  EXPECT_EQ(Enabled.size(), 0u);
-#endif
 }
 
 TEST(Trace, EventKindNamesRoundTrip) {
@@ -305,8 +297,6 @@ TEST(Trace, ConcurrentRecordersLoseNoEvents) {
   // under the TSan lane too.
   TraceRecorder Rec;
   Rec.setEnabled(true);
-  if (!Rec.enabled())
-    GTEST_SKIP() << "built with EVM_TRACING=0";
   constexpr int Threads = 4, PerThread = 5000;
   std::vector<std::thread> Pool;
   for (int T = 0; T != Threads; ++T)

@@ -704,8 +704,7 @@ int main(int argc, char **argv) {
     std::fprintf(stderr, "warning: %llu unparseable ledger lines skipped\n",
                  static_cast<unsigned long long>(Reader.badLines()));
   if (Records.empty()) {
-    std::printf("no decision records (ledger empty, or binary built with "
-                "EVM_DECISIONS=0)\n");
+    std::printf("no decision records (ledger empty)\n");
     return Strict && Reader.badLines() ? 1 : 0;
   }
 
