@@ -11,7 +11,6 @@
 #include "harness/Scenario.h"
 #include "support/Statistics.h"
 #include "support/Table.h"
-#include "vm/AOS.h"
 #include "vm/Engine.h"
 #include "vm/jit/Compiler.h"
 #include "vm/jit/Lowering.h"
@@ -101,38 +100,6 @@ void printCalibrationTable(MetricsRegistry &Metrics) {
   std::printf("%s\n", Table.render().c_str());
 }
 
-void printWorkerAblationTable(MetricsRegistry &Metrics) {
-  std::printf("Background-compilation worker ablation (Mtrt, adaptive "
-              "policy):\nstall cycles hit the application clock; overlapped "
-              "cycles run on\nworker timelines concurrently with "
-              "execution.\n\n");
-  TextTable Table({"workers", "totalCycles", "stallCompile",
-                   "overlappedCompile", "compiles"});
-  wl::Workload W = wl::buildWorkload("Mtrt", 20090301);
-  const wl::InputCase &Input = W.Inputs[W.Inputs.size() / 2];
-  for (uint64_t Workers : {0ULL, 1ULL, 2ULL, 4ULL}) {
-    vm::TimingModel TM;
-    TM.NumCompileWorkers = Workers;
-    vm::AdaptivePolicy Policy(TM);
-    vm::ExecutionEngine Engine(W.Module, TM, &Policy);
-    auto R = Engine.run(Input.VmArgs, 60ULL << 30);
-    if (!R)
-      continue;
-    std::string Key = "jit.workers_" + std::to_string(Workers);
-    Metrics.add(Key + ".total_cycles", R->Cycles);
-    Metrics.add(Key + ".stall_compile_cycles", R->stallCompileCycles());
-    Metrics.add(Key + ".overlapped_compile_cycles",
-                R->overlappedCompileCycles());
-    Table.beginRow();
-    Table.addCell(static_cast<int64_t>(Workers));
-    Table.addCell(static_cast<int64_t>(R->Cycles));
-    Table.addCell(static_cast<int64_t>(R->stallCompileCycles()));
-    Table.addCell(static_cast<int64_t>(R->overlappedCompileCycles()));
-    Table.addCell(static_cast<int64_t>(R->Compiles.size()));
-  }
-  std::printf("%s\n", Table.render().c_str());
-}
-
 /// Per-run virtual cycles of the Evolve VM re-running Mtrt's middle
 /// input: sampling and compile stalls front-load the series until the
 /// learned prediction takes over — the steady-state analysis should
@@ -177,7 +144,6 @@ int main(int argc, char **argv) {
   std::string JsonPath = benchjson::extractJsonFlag(argc, argv);
   MetricsRegistry Metrics;
   printCalibrationTable(Metrics);
-  printWorkerAblationTable(Metrics);
   std::vector<benchjson::BenchSeries> Series = {evolveWarmupSeries(40)};
   if (!benchjson::writeBenchJson(JsonPath, "jit_levels", 20090301,
                                  Metrics.snapshot(), nullptr, &Series))

@@ -2,9 +2,7 @@
 //
 // The evolvable VM's runtime overhead (XICL feature extraction plus
 // prediction) as a percentage of each run's time.  The paper reports
-// < 0.4% typical, 1.38% worst (small-input Bloat).  Also the background
-// compilation ablation: total virtual cycles with compile stalls versus
-// the overlapped worker pipeline.
+// < 0.4% typical, 1.38% worst (small-input Bloat).
 //
 //===----------------------------------------------------------------------===//
 
@@ -50,8 +48,6 @@ int main(int argc, char **argv) {
   ProfilerInstallGuard ProfilerGuard(&Profiler);
   std::printf("%s\n",
               harness::runOverheadAnalysis(20090301, &Metrics).c_str());
-  std::printf("%s\n",
-              harness::runAsyncCompileAnalysis(20090301, &Metrics).c_str());
   std::vector<benchjson::BenchSeries> Series = {evolveWarmupSeries(
       "Compress", "overhead.compress.evolve_run_cycles", 40)};
   PhaseTreeSnapshot Phases = Profiler.snapshot();

@@ -12,7 +12,8 @@
 //                lines starting with '#' are comments.  Integer args are
 //                passed as ints, anything with a '.' as floats.
 //
-// Options: see printUsage (trace/metrics/profile outputs, workers).
+// Options: see printUsage (observability outputs, knowledge store,
+// generated-workload, fleet and client modes).
 //
 // Exit codes:
 //
@@ -97,7 +98,6 @@ struct CliOptions {
   std::string ProfileFoldPath; ///< --profile-collapsed= (flamegraph.pl)
   std::string ProfileSpeedPath; ///< --profile-speedscope=
   std::string DecisionsOutPath; ///< --decisions-out= (decision-ledger JSONL)
-  int64_t Workers = -1;        ///< --workers= (-1: timing-model default)
   std::string StorePath;       ///< --store= (cross-run knowledge store)
   bool StoreReadonly = false;  ///< --store-readonly (warm start, no save)
   bool StoreReset = false;     ///< --store-reset (delete before loading)
@@ -191,10 +191,8 @@ int replay(const bc::Module &Program, const std::string &Spec,
            const xicl::XFMethodRegistry &Registry,
            const xicl::FileStore &Files, const CliOptions &Options,
            const std::string &AppName = "evm_cli") {
-  evolve::EvolveConfig Config;
-  if (Options.Workers >= 0)
-    Config.Timing.NumCompileWorkers = static_cast<uint64_t>(Options.Workers);
-  evolve::EvolvableVM VM(Program, Spec, &Registry, &Files, Config);
+  evolve::EvolvableVM VM(Program, Spec, &Registry, &Files,
+                         evolve::EvolveConfig());
   if (!VM.specError().empty())
     std::fprintf(stderr,
                  "warning: XICL spec rejected (%s); running without "
@@ -395,9 +393,6 @@ int runFleet(const CliOptions &Options) {
   FC.Seed = Options.Seed;
   FC.ShardDir = Options.ShardDir;
   FC.CaptureDecisions = !Options.DecisionsOutPath.empty();
-  if (Options.Workers >= 0)
-    FC.Experiment.Timing.NumCompileWorkers =
-        static_cast<uint64_t>(Options.Workers);
 
   if (!Options.FleetWorkloads.empty()) {
     FC.Workloads.clear();
@@ -706,9 +701,6 @@ void printUsage(const char *Argv0, std::FILE *To) {
       "                             in tenant-ID order)\n"
       "  --version                  print build provenance JSON (git SHA,\n"
       "                             compiler, build type) and exit\n"
-      "engine options:\n"
-      "  --workers=N                background compile workers (0 =\n"
-      "                             synchronous compilation)\n"
       "knowledge-store options:\n"
       "  --store=FILE               cross-run knowledge store: warm-start\n"
       "                             the VM from FILE before the first run\n"
@@ -867,14 +859,6 @@ int main(int argc, char **argv) {
       Options.StoreReadonly = true;
     } else if (Arg == "--store-reset") {
       Options.StoreReset = true;
-    } else if (Arg.rfind("--workers=", 0) == 0) {
-      auto N = parseInteger(Arg.substr(10));
-      if (!N || *N < 0) {
-        std::fprintf(stderr, "error: bad --workers value '%s'\n",
-                     Arg.substr(10).c_str());
-        return 2;
-      }
-      Options.Workers = *N;
     } else if (Arg.rfind("--", 0) == 0) {
       std::fprintf(stderr, "error: unknown option '%s'\n", Arg.c_str());
       printUsage(argv[0], stderr);

@@ -38,7 +38,22 @@ std::string stripComment(const std::string &Line) {
   return Line.substr(0, Pos);
 }
 
-/// Parses "func name(N)" headers; returns false on malformed syntax.
+/// True for names matching [A-Za-z_][A-Za-z0-9_]*.  Function names become
+/// profiler frames and trace labels, which must not contain ';' or '"'.
+bool isIdentifier(const std::string &Name) {
+  auto IsAlpha = [](char C) {
+    return (C >= 'a' && C <= 'z') || (C >= 'A' && C <= 'Z') || C == '_';
+  };
+  if (Name.empty() || !IsAlpha(Name[0]))
+    return false;
+  for (char C : Name)
+    if (!IsAlpha(C) && !(C >= '0' && C <= '9'))
+      return false;
+  return true;
+}
+
+/// Parses "func name(N)" headers; returns false on malformed syntax or a
+/// name that is not an identifier.
 bool parseHeader(const std::string &Rest, std::string &Name,
                  uint32_t &NumParams, std::optional<uint32_t> &Locals) {
   std::vector<std::string> Words = splitWhitespace(Rest);
@@ -51,7 +66,7 @@ bool parseHeader(const std::string &Rest, std::string &Name,
     return false;
   Name = Sig.substr(0, Open);
   auto Params = parseInteger(Sig.substr(Open + 1, Close - Open - 1));
-  if (Name.empty() || !Params || *Params < 0)
+  if (!isIdentifier(Name) || !Params || *Params < 0)
     return false;
   NumParams = static_cast<uint32_t>(*Params);
   Locals = std::nullopt;

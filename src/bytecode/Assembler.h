@@ -28,6 +28,8 @@
 ///   end
 /// \endcode
 ///
+/// Function names are identifiers ([A-Za-z_][A-Za-z0-9_]*).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef EVM_BYTECODE_ASSEMBLER_H

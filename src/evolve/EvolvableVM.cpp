@@ -228,10 +228,7 @@ ErrorOr<EvolveRunRecord> EvolvableVM::runOnce(
   }
 
   // Refine the engine's pre-run overhead lump into its xicl/ml components
-  // (the engine only sees the sum), then re-snapshot so Result.Phases
-  // carries the split plus the offline ml/rebuild work done above.  Same
-  // idiom as the metrics augmentation: the engine's snapshot is taken
-  // first, the evolvable-VM layer extends it.
+  // (the engine only sees the sum).
   if (PhaseProfiler *P = PhaseProfiler::current()) {
     if (Record.ExtractionCycles)
       P->attributeChild({"run", "overhead"}, "xicl/characterize",
@@ -239,7 +236,6 @@ ErrorOr<EvolveRunRecord> EvolvableVM::runOnce(
     if (Record.PredictionCycles)
       P->attributeChild({"run", "overhead"}, "ml/predict",
                         Record.PredictionCycles);
-    Result.Phases = P->snapshot();
   }
 
   // Decision-ledger emission: one record per run, observation only — built

@@ -198,9 +198,7 @@ private:
   const bc::Module &M;
   EvolveConfig Config;
   /// One engine for every production run: per-run state resets inside
-  /// run(), while the background compile-worker pool (when
-  /// Config.Timing.NumCompileWorkers > 0) persists across runs.  The
-  /// policy is swapped per run via setPolicy.
+  /// run(), and the policy is swapped per run via setPolicy.
   vm::ExecutionEngine Engine;
   std::vector<size_t> Sizes;
   std::unique_ptr<xicl::XICLTranslator> Translator; ///< null on spec error

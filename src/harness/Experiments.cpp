@@ -5,11 +5,8 @@
 #include "support/Format.h"
 #include "support/Statistics.h"
 #include "support/Table.h"
-#include "vm/AOS.h"
-#include "vm/Engine.h"
 
 #include <algorithm>
-#include <cassert>
 
 using namespace evm;
 using namespace evm::harness;
@@ -248,72 +245,6 @@ std::string harness::runOverheadAnalysis(uint64_t Seed,
   }
   return "Overhead analysis (Sec. V.B.2): XICL feature extraction +\n"
          "prediction time as a percentage of run time\n\n" +
-         Table.render();
-}
-
-std::string harness::runAsyncCompileAnalysis(uint64_t Seed,
-                                             MetricsRegistry *Metrics) {
-  // One representative (mid-sized) input per workload, run under the plain
-  // adaptive system: the ablation isolates the compilation pipeline, so
-  // the evolvable-VM machinery stays out of the picture.
-  const char *Names[] = {"Compress", "Mtrt", "MolDyn", "RayTracer"};
-  TextTable Table({"Program", "syncCycles", "asyncCycles", "speedup",
-                   "syncStall", "asyncStall", "overlapped", "dropped",
-                   "deterministic"});
-  for (const char *Name : Names) {
-    wl::Workload W = wl::buildWorkload(Name, Seed);
-    const wl::InputCase &Input = W.Inputs[W.Inputs.size() / 2];
-
-    auto runWithWorkers = [&](uint64_t Workers) {
-      vm::TimingModel TM;
-      TM.NumCompileWorkers = Workers;
-      vm::AdaptivePolicy Policy(TM);
-      vm::ExecutionEngine Engine(W.Module, TM, &Policy);
-      auto R = Engine.run(Input.VmArgs);
-      assert(static_cast<bool>(R) && "workload run trapped");
-      return *R;
-    };
-
-    vm::RunResult Sync = runWithWorkers(0);
-    vm::RunResult Async = runWithWorkers(2);
-    vm::RunResult Async2 = runWithWorkers(2);
-    bool Deterministic =
-        Async.Cycles == Async2.Cycles &&
-        Async.stallCompileCycles() == Async2.stallCompileCycles() &&
-        Async.overlappedCompileCycles() == Async2.overlappedCompileCycles() &&
-        Async.ReturnValue.equals(Async2.ReturnValue);
-
-    if (Metrics) {
-      std::string N = Name;
-      Metrics->add("bench.cycles.total",
-                   Sync.Cycles + Async.Cycles + Async2.Cycles);
-      Metrics->add("bench.compiles.total", Sync.Compiles.size() +
-                                               Async.Compiles.size() +
-                                               Async2.Compiles.size());
-      Metrics->add("bench.runs.total", 3);
-      Metrics->setGauge("async." + N + ".speedup",
-                        static_cast<double>(Sync.Cycles) /
-                            static_cast<double>(Async.Cycles));
-      Metrics->add("async." + N + ".deterministic", Deterministic ? 1 : 0);
-    }
-
-    Table.beginRow();
-    Table.addCell(Name);
-    Table.addCell(static_cast<int64_t>(Sync.Cycles));
-    Table.addCell(static_cast<int64_t>(Async.Cycles));
-    Table.addCell(static_cast<double>(Sync.Cycles) /
-                      static_cast<double>(Async.Cycles),
-                  3);
-    Table.addCell(static_cast<int64_t>(Sync.stallCompileCycles()));
-    Table.addCell(static_cast<int64_t>(Async.stallCompileCycles()));
-    Table.addCell(static_cast<int64_t>(Async.overlappedCompileCycles()));
-    Table.addCell(static_cast<int64_t>(Async.droppedCompiles()));
-    Table.addCell(Deterministic ? "yes" : "NO");
-  }
-  return "Background compilation ablation: synchronous engine vs the\n"
-         "2-worker background pipeline (adaptive policy, one mid-sized\n"
-         "input per workload).  'overlapped' cycles run on worker\n"
-         "timelines and never stall the application clock.\n\n" +
          Table.render();
 }
 

@@ -50,14 +50,6 @@ std::string runFig10(uint64_t Seed, MetricsRegistry *Metrics = nullptr);
 std::string runOverheadAnalysis(uint64_t Seed,
                                 MetricsRegistry *Metrics = nullptr);
 
-/// Background-compilation ablation: total virtual cycles and stall vs
-/// overlapped compile cycles for the synchronous engine
-/// (NumCompileWorkers=0) against the background pipeline (workers=1,2) on
-/// four representative workloads, plus a bit-identity check across
-/// repeated async runs.
-std::string runAsyncCompileAnalysis(uint64_t Seed,
-                                    MetricsRegistry *Metrics = nullptr);
-
 /// Sec. V.B.3: sensitivity to the confidence threshold (on Mtrt) and to
 /// the input arrival order (on RayTracer, Rep vs Evolve).
 std::string runSensitivity(uint64_t Seed, MetricsRegistry *Metrics = nullptr);

@@ -89,10 +89,10 @@ private:
 
 /// The mutable registry producers write to.  Thread-safe: every mutator and
 /// snapshot() takes an internal mutex, so one registry may be shared by
-/// concurrent producers (fleet tenant threads, compile workers) without
-/// losing counts.  Engine hot paths still accumulate in plain members and
-/// fold into a registry once per run, so the lock is never on the
-/// per-bytecode path; snapshots taken while producers are active see a
+/// concurrent producers (fleet tenant threads, prediction-server lanes)
+/// without losing counts.  Engine hot paths still accumulate in plain
+/// members and fold into a registry once per run, so the lock is never on
+/// the per-bytecode path; snapshots taken while producers are active see a
 /// consistent (point-in-time) state.
 class MetricsRegistry {
 public:

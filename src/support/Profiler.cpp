@@ -79,15 +79,6 @@ void PhaseProfiler::chargeAt(std::initializer_list<std::string_view> Path,
   Nodes[N].Count += Count;
 }
 
-void PhaseProfiler::chargeAt(const std::vector<std::string> &Path,
-                             uint64_t Cycles, uint64_t Count) {
-  int32_t N = 0;
-  for (const std::string &Name : Path)
-    N = childOf(N, Name);
-  Nodes[N].Cycles += Cycles;
-  Nodes[N].Count += Count;
-}
-
 uint64_t
 PhaseProfiler::attributeChild(std::initializer_list<std::string_view> Path,
                               std::string_view Child, uint64_t Cycles,

@@ -20,13 +20,11 @@
 ///     thread"), every site costs one pointer test.
 ///   * Installed, sites cost host time only; zero virtual cycles ever.
 ///
-/// The tree distinguishes three roots by convention:
+/// The tree distinguishes two roots by convention:
 ///
 ///   run         everything charged to the execution thread's clock; the
 ///               subtree total equals the sum of RunResult::Cycles over the
 ///               profiled runs (tested).
-///   background  compile cycles spent on worker virtual timelines,
-///               overlapped with execution (never part of run's clock).
 ///   offline     modeled costs of work the paper excludes from application
 ///               runtime (classification-tree rebuilds, cross-validation,
 ///               repository strategy derivation).
@@ -101,10 +99,10 @@ private:
 ErrorOr<PhaseTreeSnapshot> parsePhaseTreeJson(const std::string &Text);
 
 /// The live phase tree.  Single-threaded by design: all virtual-clock
-/// accounting in this codebase happens on the execution thread (worker
-/// compile costs are scheduled there too), so the profiler is installed
-/// per thread and never locked.  Frame names must not contain ';' or '"'
-/// (they are stack separators / JSON-quoted verbatim).
+/// accounting in this codebase happens on the execution thread, so the
+/// profiler is installed per thread and never locked.  Frame names must
+/// not contain ';' or '"' (they are stack separators / JSON-quoted
+/// verbatim).
 class PhaseProfiler {
 public:
   PhaseProfiler();
@@ -128,12 +126,10 @@ public:
 
   /// Attributes \p Cycles / \p Count to the node at \p Path (absolute,
   /// from the root), creating intermediate nodes as needed.  The current
-  /// stack is unaffected.  For lanes that never run under a scope: worker
-  /// compile timelines, offline model work.
+  /// stack is unaffected.  For work that never runs under a scope, such as
+  /// the repository's offline run folding.
   void chargeAt(std::initializer_list<std::string_view> Path,
                 uint64_t Cycles, uint64_t Count = 0);
-  void chargeAt(const std::vector<std::string> &Path, uint64_t Cycles,
-                uint64_t Count = 0);
 
   /// Moves \p Cycles already attributed to the node at \p Path into its
   /// child \p Child (creating it) and bumps the child's count — post-hoc
@@ -145,16 +141,17 @@ public:
                           uint64_t Count = 1);
 
   /// attributeChild against the *current* scope instead of an absolute
-  /// path (the engine splits a synchronous compile's lump across the
-  /// pipeline's passes while still inside the compile scope).
+  /// path (the engine splits a compile's lump across the pipeline's
+  /// passes while still inside the compile scope).
   uint64_t splitToChild(std::string_view Child, uint64_t Cycles,
                         uint64_t Count = 1);
 
   /// Drops all nodes and attribution (the scope stack must be empty).
   void reset();
 
-  /// Flattens the tree (see PhaseTreeSnapshot).  Cheap enough to take per
-  /// run; unaffected by currently-open scopes.
+  /// Flattens and sorts the whole tree (see PhaseTreeSnapshot), so take it
+  /// once at the end rather than per run; unaffected by currently-open
+  /// scopes.
   PhaseTreeSnapshot snapshot() const;
 
   /// Depth bound beyond which enter() stops creating nodes and reuses the

@@ -11,13 +11,11 @@
 using namespace evm;
 
 static const char *const TraceEventKindNames[NumTraceEventKinds] = {
-    "run.begin",        "run.end",         "method.invoke",
-    "profile.sample",   "costbenefit.eval", "level.transition",
-    "compile.enqueue",  "compile.start",   "compile.ready",
-    "compile.install",  "compile.drop",    "compile.coalesce",
-    "evolve.predict",   "evolve.outcome",  "model.rebuild",
-    "repository.update", "store.load",     "store.save",
-    "fleet.tenant",     "fleet.merge"};
+    "run.begin",         "run.end",          "method.invoke",
+    "profile.sample",    "costbenefit.eval", "level.transition",
+    "compile.install",   "evolve.predict",   "evolve.outcome",
+    "model.rebuild",     "repository.update", "store.load",
+    "store.save",        "fleet.tenant",     "fleet.merge"};
 
 const char *evm::traceEventKindName(TraceEventKind K) {
   assert(static_cast<unsigned>(K) < NumTraceEventKinds && "bad kind");
@@ -85,7 +83,7 @@ std::vector<TraceEvent> TraceRecorder::exportOrder() const {
 
   // Sort each segment by virtual time.  Virtual clocks restart at zero every
   // run, so a global sort would interleave runs; within a run the stable sort
-  // places future-stamped compile.start/ready events at their virtual time
+  // moves the cycle-0 store.* events, appended between runs, to the front
   // while preserving append order among ties.  run.begin is hoisted to the
   // front of its cycle so each segment opens with its marker.
   auto Key = [](const TraceEvent &E) {
@@ -135,12 +133,10 @@ std::string evm::renderJsonlTrace(const std::vector<TraceEvent> &Events,
   for (const TraceEvent &E : Events) {
     Out += formatString(
         "{\"cycle\":%llu,\"kind\":\"%s\",\"method\":%u,\"name\":\"%s\","
-        "\"level\":%d,\"tid\":%u,\"a\":%llu,\"b\":%llu,\"c\":%llu,"
-        "\"x\":%.17g}\n",
+        "\"level\":%d,\"a\":%llu,\"b\":%llu,\"c\":%llu,\"x\":%.17g}\n",
         static_cast<unsigned long long>(E.Cycle), traceEventKindName(E.Kind),
         E.Method, escapeJson(methodLabel(Meta, E.Method)).c_str(),
-        static_cast<int>(E.Level), static_cast<unsigned>(E.Tid),
-        static_cast<unsigned long long>(E.A),
+        static_cast<int>(E.Level), static_cast<unsigned long long>(E.A),
         static_cast<unsigned long long>(E.B),
         static_cast<unsigned long long>(E.C), E.X);
   }
@@ -172,18 +168,11 @@ std::string evm::renderChromeTrace(const std::vector<TraceEvent> &Events,
     if (Events[I].Kind == TraceEventKind::RunBegin && I != 0)
       SegmentMax.push_back(0);
     SegmentOf[I] = SegmentMax.size() - 1;
-    uint64_t End = Events[I].Cycle;
-    if (Events[I].Kind == TraceEventKind::CompileStart)
-      End += Events[I].B; // span covers the compile's cost
-    SegmentMax.back() = std::max(SegmentMax.back(), End);
+    SegmentMax.back() = std::max(SegmentMax.back(), Events[I].Cycle);
   }
   std::vector<uint64_t> SegmentOffset(SegmentMax.size(), 0);
   for (size_t S = 1; S != SegmentMax.size(); ++S)
     SegmentOffset[S] = SegmentOffset[S - 1] + SegmentMax[S - 1] + 1;
-
-  uint8_t MaxTid = 0;
-  for (const TraceEvent &E : Events)
-    MaxTid = std::max(MaxTid, E.Tid);
 
   std::string Out = "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n";
   Out += formatString("{\"ph\":\"M\",\"pid\":%u,\"tid\":0,\"name\":"
@@ -192,11 +181,6 @@ std::string evm::renderChromeTrace(const std::vector<TraceEvent> &Events,
   Out += formatString(",\n{\"ph\":\"M\",\"pid\":%u,\"tid\":0,\"name\":"
                       "\"thread_name\",\"args\":{\"name\":\"execution\"}}",
                       Meta.Pid);
-  for (unsigned T = 1; T <= MaxTid; ++T)
-    Out += formatString(
-        ",\n{\"ph\":\"M\",\"pid\":%u,\"tid\":%u,\"name\":\"thread_name\","
-        "\"args\":{\"name\":\"compile-worker %u\"}}",
-        Meta.Pid, T, T - 1);
 
   for (size_t I = 0; I != Events.size(); ++I) {
     const TraceEvent &E = Events[I];
@@ -209,24 +193,11 @@ std::string evm::renderChromeTrace(const std::vector<TraceEvent> &Events,
           Meta.Pid, static_cast<unsigned long long>(Ts),
           static_cast<unsigned long long>(SegmentMax[SegmentOf[I]]),
           static_cast<unsigned long long>(E.A));
-    if (E.Kind == TraceEventKind::CompileStart) {
-      // The compile occupies its worker from start to start+cost.
-      Out += formatString(
-          ",\n{\"ph\":\"X\",\"pid\":%u,\"tid\":%u,\"ts\":%llu,\"dur\":%llu,"
-          "\"name\":\"compile %s L%d\",\"args\":%s}",
-          Meta.Pid, static_cast<unsigned>(E.Tid),
-          static_cast<unsigned long long>(Ts),
-          static_cast<unsigned long long>(E.B),
-          escapeJson(methodLabel(Meta, E.Method)).c_str(),
-          static_cast<int>(E.Level), chromeArgs(E, Meta).c_str());
-      continue;
-    }
     Out += formatString(
-        ",\n{\"ph\":\"i\",\"s\":\"t\",\"pid\":%u,\"tid\":%u,\"ts\":%llu,"
+        ",\n{\"ph\":\"i\",\"s\":\"t\",\"pid\":%u,\"tid\":0,\"ts\":%llu,"
         "\"name\":\"%s\",\"args\":%s}",
-        Meta.Pid, static_cast<unsigned>(E.Tid),
-        static_cast<unsigned long long>(Ts), traceEventKindName(E.Kind),
-        chromeArgs(E, Meta).c_str());
+        Meta.Pid, static_cast<unsigned long long>(Ts),
+        traceEventKindName(E.Kind), chromeArgs(E, Meta).c_str());
   }
   Out += "\n]}\n";
   return Out;
@@ -247,27 +218,31 @@ static size_t findValue(const std::string &Line, const char *Key) {
   return At + Needle.size();
 }
 
-static bool parseU64(const std::string &Line, const char *Key, uint64_t &Out) {
-  size_t At = findValue(Line, Key);
-  if (At == std::string::npos)
-    return false;
-  Out = strtoull(Line.c_str() + At, nullptr, 10);
-  return true;
+static unsigned long long toU64(const char *S, char **End) {
+  return strtoull(S, End, 10);
 }
 
-static bool parseI64(const std::string &Line, const char *Key, int64_t &Out) {
-  size_t At = findValue(Line, Key);
-  if (At == std::string::npos)
-    return false;
-  Out = strtoll(Line.c_str() + At, nullptr, 10);
-  return true;
+static long long toI64(const char *S, char **End) {
+  return strtoll(S, End, 10);
 }
 
-static bool parseF64(const std::string &Line, const char *Key, double &Out) {
+/// Parses the number after `"Key":` with \p Conv (strtoull and its
+/// siblings, which leave the end pointer at the start when they read no
+/// number).  Returns false when the value is not a number ending at the
+/// next `,` or `}`, or when the key is absent and \p Required; an absent
+/// optional key leaves \p Out untouched.
+template <typename T, typename Converter>
+static bool parseNumber(const std::string &Line, const char *Key, T &Out,
+                        Converter Conv, bool Required = false) {
   size_t At = findValue(Line, Key);
   if (At == std::string::npos)
+    return !Required;
+  const char *Begin = Line.c_str() + At;
+  char *End = nullptr;
+  auto Value = Conv(Begin, &End);
+  if (End == Begin || (*End != ',' && *End != '}'))
     return false;
-  Out = strtod(Line.c_str() + At, nullptr);
+  Out = static_cast<T>(Value);
   return true;
 }
 
@@ -299,20 +274,14 @@ bool evm::parseJsonlTraceLine(const std::string &Line, TraceEvent &Out,
     return false;
   Out = TraceEvent();
   Out.Kind = *Kind;
-  uint64_t U = 0;
-  int64_t S = 0;
-  if (!parseU64(Line, "cycle", Out.Cycle))
+  if (!parseNumber(Line, "cycle", Out.Cycle, toU64, /*Required=*/true) ||
+      !parseNumber(Line, "method", Out.Method, toU64) ||
+      !parseNumber(Line, "level", Out.Level, toI64) ||
+      !parseNumber(Line, "a", Out.A, toU64) ||
+      !parseNumber(Line, "b", Out.B, toU64) ||
+      !parseNumber(Line, "c", Out.C, toU64) ||
+      !parseNumber(Line, "x", Out.X, strtod))
     return false;
-  if (parseU64(Line, "method", U))
-    Out.Method = static_cast<uint32_t>(U);
-  if (parseI64(Line, "level", S))
-    Out.Level = static_cast<int8_t>(S);
-  if (parseU64(Line, "tid", U))
-    Out.Tid = static_cast<uint8_t>(U);
-  parseU64(Line, "a", Out.A);
-  parseU64(Line, "b", Out.B);
-  parseU64(Line, "c", Out.C);
-  parseF64(Line, "x", Out.X);
   if (NameOut && !parseStr(Line, "name", *NameOut))
     NameOut->clear();
   return true;

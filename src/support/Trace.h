@@ -6,8 +6,8 @@
 ///
 /// \file
 /// A low-overhead recorder for the engine's layered decisions: method
-/// invocations, profiler samples, cost-benefit evaluations, compile-queue
-/// scheduling, level transitions, and Evolve predictions.  Timestamps are
+/// invocations, profiler samples, cost-benefit evaluations, compile
+/// installs, level transitions, and Evolve predictions.  Timestamps are
 /// **virtual-clock cycles**, so two identical runs produce bit-identical
 /// traces.
 ///
@@ -20,9 +20,8 @@
 /// whose meaning depends on the kind; the taxonomy is documented per kind
 /// below and in DESIGN.md's "Observability" section.  Exporters produce
 /// Chrome trace_event JSON (loadable in chrome://tracing or Perfetto; one
-/// pid per engine, tid 0 for the execution thread, tid 1+w for compile
-/// worker w) and a flat JSONL form that `tools/evm-trace` and the tests
-/// parse back.
+/// pid per engine, every event on the execution thread's tid 0) and a flat
+/// JSONL form that `tools/evm-trace` and the tests parse back.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -45,14 +44,9 @@ namespace evm {
 ///   run.end           end          -          run ordinal  samples    C=stall compile cycles
 ///   method.invoke     now          tier       invocation#  depth      -
 ///   profile.sample    now          level      samples      -          -
-///   costbenefit.eval  now          chosen(*)  future cyc   backlog    C=current level idx, X=best cost
+///   costbenefit.eval  now          chosen(*)  future cyc   -          C=current level idx, X=best cost
 ///   level.transition  now          new level  old lvl idx  #compiles  -
-///   compile.enqueue   request      level      seqno        cost       C=worker
-///   compile.start     start        level      seqno        cost       - (tid = 1+worker)
-///   compile.ready     ready        level      seqno        -          - (tid = 1+worker)
-///   compile.install   now          level      seqno(**)    cost       C=background 0/1
-///   compile.drop      request      level      in-flight    -          -
-///   compile.coalesce  request      level      exist seqno  exist lvl  -
+///   compile.install   now          level      -            cost       -
 ///   evolve.predict    0            max pred   run ordinal  fv hash    C=used 0/1, X=confidence before
 ///   evolve.outcome    end          max ideal  agreed 0/1   #correct   C=#methods, X=accuracy
 ///   model.rebuild     end          -          runs seen    -          X=guard confidence
@@ -63,7 +57,6 @@ namespace evm {
 ///   fleet.merge       0            -          shards       generation C=runs in global, X=0
 ///
 ///   (*)  kTraceNoLevel when the cost-benefit model said "stay put".
-///   (**) synchronous compiles have no queue sequence number; A is 0.
 ///
 ///   fleet.* events are recorded by the fleet coordinator *after* all
 ///   tenant threads join, in tenant-ID order, so a fleet trace is
@@ -75,12 +68,7 @@ enum class TraceEventKind : uint8_t {
   ProfileSample,
   CostBenefitEval,
   LevelTransition,
-  CompileEnqueue,
-  CompileStart,
-  CompileReady,
   CompileInstall,
-  CompileDrop,
-  CompileCoalesce,
   EvolvePredict,
   EvolveOutcome,
   ModelRebuild,
@@ -91,9 +79,9 @@ enum class TraceEventKind : uint8_t {
   FleetMerge,
 };
 
-constexpr int NumTraceEventKinds = 20;
+constexpr int NumTraceEventKinds = 15;
 
-/// Stable wire name of \p K ("compile.enqueue", ...).
+/// Stable wire name of \p K ("compile.install", ...).
 const char *traceEventKindName(TraceEventKind K);
 
 /// Inverse of traceEventKindName; nullopt for unknown names.
@@ -112,7 +100,6 @@ struct TraceEvent {
   uint32_t Method = 0; ///< bc::MethodId; 0 for module-level events
   TraceEventKind Kind = TraceEventKind::RunBegin;
   int8_t Level = kTraceNoLevel; ///< OptLevel as int, or kTraceNoLevel
-  uint8_t Tid = 0;              ///< 0 = execution thread, 1+w = worker w
 };
 
 /// The growable event arena.  Appends take a mutex so the recorder stays
@@ -150,8 +137,8 @@ public:
   /// the segment they predict for), each segment stably sorted by Cycle
   /// with the run.begin marker hoisted to the front of its cycle.  This
   /// keeps multi-run traces (virtual clocks restart at 0 every run) in
-  /// run-major order while placing future-stamped compile.start/ready
-  /// events at their virtual time.
+  /// run-major order; the cycle-0 store.* events, recorded between runs,
+  /// sort to the front of the segment they were appended to.
   std::vector<TraceEvent> exportOrder() const;
 
 private:
@@ -173,22 +160,23 @@ struct TraceMeta {
   std::vector<std::string> MethodNames;
 };
 
-/// Chrome trace_event JSON ("traceEvents" array, ts in virtual cycles,
-/// compile spans as complete events on their worker's tid; consecutive runs
-/// are laid out back-to-back on the time axis).  Load in chrome://tracing
-/// or https://ui.perfetto.dev.
+/// Chrome trace_event JSON ("traceEvents" array, ts in virtual cycles;
+/// consecutive runs are laid out back-to-back on the time axis).  Load in
+/// chrome://tracing or https://ui.perfetto.dev.
 std::string renderChromeTrace(const std::vector<TraceEvent> &Events,
                               const TraceMeta &Meta);
 
 /// Flat JSONL: one event per line, fixed key order
-///   {"cycle":..,"kind":"..","method":..,"name":"..","level":..,"tid":..,
+///   {"cycle":..,"kind":"..","method":..,"name":"..","level":..,
 ///    "a":..,"b":..,"c":..,"x":..}
 /// Byte-deterministic for identical event sequences.
 std::string renderJsonlTrace(const std::vector<TraceEvent> &Events,
                              const TraceMeta &Meta);
 
 /// Parses one JSONL line back into an event (and the method name, when
-/// \p NameOut is non-null).  Returns false on malformed input.
+/// \p NameOut is non-null).  Returns false on malformed input: a missing
+/// or unknown kind, a missing cycle, or a numeric key whose value is not a
+/// number.
 bool parseJsonlTraceLine(const std::string &Line, TraceEvent &Out,
                          std::string *NameOut = nullptr);
 

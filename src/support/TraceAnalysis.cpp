@@ -105,60 +105,28 @@ std::string evm::renderTierTimeline(const ParsedTrace &Trace) {
 
 std::string evm::renderCompileAccounting(const ParsedTrace &Trace) {
   std::string Out = "== Compile-pipeline accounting ==\n\n";
-  TextTable Table({"run", "installs", "stall-cycles", "overlap-cycles",
-                   "drops", "coalesces", "worker-busy"});
-  uint64_t TotalInstalls = 0, TotalStall = 0, TotalOverlap = 0;
-  uint64_t TotalDrops = 0, TotalCoalesces = 0;
+  TextTable Table({"run", "installs", "stall-cycles"});
+  uint64_t TotalInstalls = 0, TotalStall = 0;
   for (auto [Begin, End] : Trace.Runs) {
-    uint64_t Installs = 0, Stall = 0, Overlap = 0, Drops = 0, Coalesces = 0;
-    std::map<unsigned, uint64_t> WorkerBusy;
+    uint64_t Installs = 0, Stall = 0;
     for (size_t I = Begin; I != End; ++I) {
       const TraceEvent &E = Trace.Events[I];
-      switch (E.Kind) {
-      case TraceEventKind::CompileInstall:
-        ++Installs;
-        (E.C ? Overlap : Stall) += E.B;
-        break;
-      case TraceEventKind::CompileStart:
-        WorkerBusy[E.Tid] += E.B;
-        break;
-      case TraceEventKind::CompileDrop:
-        ++Drops;
-        break;
-      case TraceEventKind::CompileCoalesce:
-        ++Coalesces;
-        break;
-      default:
-        break;
-      }
+      if (E.Kind != TraceEventKind::CompileInstall)
+        continue;
+      ++Installs;
+      Stall += E.B;
     }
-    std::string Busy;
-    for (const auto &[Tid, Cycles] : WorkerBusy)
-      Busy += formatString("%sw%u:%llu", Busy.empty() ? "" : " ", Tid - 1,
-                           static_cast<unsigned long long>(Cycles));
     Table.beginRow();
     Table.addCell(static_cast<int64_t>(Trace.Events[Begin].A));
     Table.addCell(static_cast<int64_t>(Installs));
     Table.addCell(static_cast<int64_t>(Stall));
-    Table.addCell(static_cast<int64_t>(Overlap));
-    Table.addCell(static_cast<int64_t>(Drops));
-    Table.addCell(static_cast<int64_t>(Coalesces));
-    Table.addCell(Busy.empty() ? "-" : Busy);
     TotalInstalls += Installs;
     TotalStall += Stall;
-    TotalOverlap += Overlap;
-    TotalDrops += Drops;
-    TotalCoalesces += Coalesces;
   }
   Out += Table.render();
-  Out += formatString(
-      "\ntotal: %llu installs, %llu stall cycles, %llu overlapped cycles, "
-      "%llu drops, %llu coalesces\n",
-      static_cast<unsigned long long>(TotalInstalls),
-      static_cast<unsigned long long>(TotalStall),
-      static_cast<unsigned long long>(TotalOverlap),
-      static_cast<unsigned long long>(TotalDrops),
-      static_cast<unsigned long long>(TotalCoalesces));
+  Out += formatString("\ntotal: %llu installs, %llu stall cycles\n",
+                      static_cast<unsigned long long>(TotalInstalls),
+                      static_cast<unsigned long long>(TotalStall));
   return Out;
 }
 

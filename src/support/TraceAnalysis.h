@@ -6,7 +6,7 @@
 ///
 /// \file
 /// Offline analysis over a JSONL trace (support/Trace.h): per-method tier
-/// timelines, compile-stall/overlap accounting, and the Evolve-vs-reactive
+/// timelines, compile-stall accounting, and the Evolve-vs-reactive
 /// decision diff — the paper's Figure 8/9 story recomputed from raw events.
 /// Shared by `tools/evm-trace` and the trace tests.
 ///
@@ -43,8 +43,8 @@ ErrorOr<ParsedTrace> parseJsonlTrace(const std::string &Text);
 /// virtual cycle, plus invocation/sample totals.
 std::string renderTierTimeline(const ParsedTrace &Trace);
 
-/// Compile-pipeline accounting per run: installs split into stalled vs
-/// overlapped cost, queue drops and coalesces, and per-worker busy cycles.
+/// Compile-pipeline accounting per run: installs and the cycles their
+/// compiles stalled the application clock.
 std::string renderCompileAccounting(const ParsedTrace &Trace);
 
 /// Evolve-vs-reactive diff: per run the prediction (level, confidence,

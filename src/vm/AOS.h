@@ -36,8 +36,6 @@ public:
   std::optional<OptLevel>
   onSample(const MethodRuntimeInfo &Info) override {
     // Estimated remaining execution: as many cycles as observed so far.
-    // With a background pipeline the engine reports the current worker
-    // backlog so the model prices queue delay instead of a stall.
     uint64_t FutureCycles = Info.Samples * TM.SampleIntervalCycles;
     // Free on the virtual clock (the model evaluation rides the sample);
     // the phase frame nests under the engine's aos/sample so evaluation
@@ -46,8 +44,7 @@ public:
     PROF_SCOPE("costbenefit");
     RecompileEval Eval;
     std::optional<OptLevel> Chosen = chooseRecompileLevel(
-        TM, Info.Level, FutureCycles, Info.BytecodeSize,
-        Info.CompileBacklogCycles, &Eval);
+        TM, Info.Level, FutureCycles, Info.BytecodeSize, &Eval);
     if (Tracer && Tracer->enabled()) {
       TraceEvent E;
       E.Kind = TraceEventKind::CostBenefitEval;
@@ -55,7 +52,6 @@ public:
       E.Method = Info.Id;
       E.Level = Chosen ? static_cast<int8_t>(*Chosen) : kTraceNoLevel;
       E.A = FutureCycles;
-      E.B = Info.CompileBacklogCycles;
       E.C = static_cast<uint64_t>(levelIndex(Info.Level));
       E.X = Eval.BestCost;
       Tracer->record(E);

@@ -9,7 +9,6 @@ std::optional<OptLevel> vm::chooseRecompileLevel(const TimingModel &TM,
                                                  OptLevel Current,
                                                  uint64_t FutureCycles,
                                                  size_t BytecodeSize,
-                                                 uint64_t QueueBacklogCycles,
                                                  RecompileEval *Eval) {
   double StayCost = static_cast<double>(FutureCycles);
   double BestCost = StayCost;
@@ -17,22 +16,10 @@ std::optional<OptLevel> vm::chooseRecompileLevel(const TimingModel &TM,
   for (int I = levelIndex(Current) + 1; I != NumOptLevels; ++I) {
     OptLevel L = levelFromIndex(I);
     double Compile = static_cast<double>(TM.compileCost(L, BytecodeSize));
-    double Total;
-    if (TM.NumCompileWorkers == 0) {
-      // Synchronous: stall for the compile, then run the remainder faster.
-      Total = StayCost * TM.expectedSpeedup(Current) / TM.expectedSpeedup(L) +
-              Compile;
-    } else {
-      // Background: no stall.  The method runs at Current speed until the
-      // code lands (handoff + backlog + compile), then faster.
-      double Delay = static_cast<double>(TM.CompileQueueDelayCycles +
-                                         QueueBacklogCycles) +
-                     Compile;
-      double AtCurrent = Delay < StayCost ? Delay : StayCost;
-      Total = AtCurrent + (StayCost - AtCurrent) *
-                              TM.expectedSpeedup(Current) /
-                              TM.expectedSpeedup(L);
-    }
+    // Stall for the compile, then run the remainder faster.
+    double Total =
+        StayCost * TM.expectedSpeedup(Current) / TM.expectedSpeedup(L) +
+        Compile;
     if (Total < BestCost) {
       BestCost = Total;
       Best = L;

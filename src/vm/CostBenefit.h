@@ -37,14 +37,7 @@ struct RecompileEval {
 /// estimated \p FutureCycles of remaining execution (Jikes' assumption:
 /// it will run as long as it already has), returns the level whose
 /// recompile-cost-plus-faster-execution beats staying put, or nullopt.
-///
-/// The pricing depends on the compilation pipeline:
-///   * Synchronous (TM.NumCompileWorkers == 0): the compile stalls the
-///     application, so the full compile cost is added to the bill.
-///   * Background (>= 1): compilation overlaps with execution; the bill is
-///     instead the *delay* — queue handoff (TM.CompileQueueDelayCycles),
-///     the current worker backlog (\p QueueBacklogCycles), and the compile
-///     itself — during which the method keeps running at \p Current speed.
+/// The compile stalls the application, so its full cost is on the bill.
 ///
 /// When \p Eval is non-null it receives the compared estimates (for the
 /// costbenefit.eval trace event).
@@ -52,7 +45,6 @@ std::optional<OptLevel> chooseRecompileLevel(const TimingModel &TM,
                                              OptLevel Current,
                                              uint64_t FutureCycles,
                                              size_t BytecodeSize,
-                                             uint64_t QueueBacklogCycles = 0,
                                              RecompileEval *Eval = nullptr);
 
 /// Posterior decision: given a method's whole-run baseline-equivalent

@@ -59,18 +59,6 @@ const char *compilePhase(OptLevel L) {
   }
 }
 
-/// Background-lane frame (under the "background" root).
-const char *backgroundCompilePhase(OptLevel L) {
-  switch (L) {
-  case OptLevel::O0:
-    return "compile/o0";
-  case OptLevel::O1:
-    return "compile/o1";
-  default:
-    return "compile/o2";
-  }
-}
-
 /// Splits a compile-cost lump already attributed to the *current* scope
 /// (the jit/compile/oN node) across the pipeline's passes, proportional to
 /// recorded pass work.  Integer shares; the rounding remainder stays on
@@ -91,12 +79,6 @@ void splitPassCycles(PhaseProfiler &P, const jit::CompiledFunction &Code,
 ExecutionEngine::ExecutionEngine(const bc::Module &M, const TimingModel &TM,
                                  CompilationPolicy *Policy)
     : M(M), TM(TM), Policy(Policy) {}
-
-void ExecutionEngine::setTracer(TraceRecorder *T) {
-  Tracer = T;
-  if (Workers)
-    Workers->setTracer(T);
-}
 
 OptLevel ExecutionEngine::methodLevel(MethodId Id) const {
   assert(Id < Methods.size() && "method id out of range (before run?)");
@@ -142,8 +124,8 @@ void ExecutionEngine::sampleTick() {
   if (CallStack.empty())
     return; // time outside any method (compiler setup, VM machinery)
   // The sample itself is free (the paper's profiler rides the timer
-  // interrupt); any synchronous recompilation the policy triggers charges
-  // under this frame, which is exactly the "AOS decided here" attribution.
+  // interrupt); any recompilation the policy triggers charges under this
+  // frame, which is exactly the "AOS decided here" attribution.
   PROF_SCOPE("aos/sample");
   MethodId Current = CallStack.back();
   MethodState &State = Methods[Current];
@@ -168,7 +150,6 @@ void ExecutionEngine::sampleTick() {
   Info.Invocations = State.Stats.Invocations;
   Info.Level = State.Level;
   Info.BytecodeSize = M.function(Current).Code.size();
-  Info.CompileBacklogCycles = Workers ? Workers->backlogCycles(Cycles) : 0;
   Info.NowCycles = Cycles;
   if (std::optional<OptLevel> L = Policy->onSample(Info))
     installLevel(Current, *L);
@@ -182,16 +163,6 @@ void ExecutionEngine::installLevel(MethodId Id, OptLevel L) {
   assert(L != OptLevel::Baseline && "cannot install baseline");
 
   uint64_t Cost = TM.compileCost(L, M.function(Id).Code.size());
-
-  if (Workers) {
-    // Background pipeline: hand the compile to a worker and keep running
-    // the old code.  The pool's deterministic scheduler (which models the
-    // queue handoff delay and per-worker timelines) decides when the code
-    // becomes installable.
-    Workers->request(Id, L, Cycles, Cost);
-    return;
-  }
-
   CompileCycles += Cost;
   // Compile before charging so the pass-work breakdown exists when the
   // cost lump is attributed; compileAtLevel is pure, so the reorder is
@@ -209,8 +180,7 @@ void ExecutionEngine::installLevel(MethodId Id, OptLevel L) {
   State.Level = L;
   State.Stats.FinalLevel = L;
   ++State.Stats.NumCompiles;
-  Compiles.push_back(
-      CompileEvent{Id, L, Cycles, Cost, Cycles - Cost, /*Background=*/false});
+  Compiles.push_back(CompileEvent{Id, L, Cost});
   if (Tracer && Tracer->enabled()) {
     TraceEvent E;
     E.Cycle = Cycles;
@@ -223,65 +193,6 @@ void ExecutionEngine::installLevel(MethodId Id, OptLevel L) {
     E.A = static_cast<uint64_t>(levelIndex(OldLevel));
     E.B = static_cast<uint64_t>(State.Stats.NumCompiles);
     Tracer->record(E);
-  }
-}
-
-void ExecutionEngine::drainReadyCompiles() {
-  if (!Workers)
-    return;
-  for (CompileResult &R : Workers->takeReady(Cycles)) {
-    // Attribute the worker's (overlapped) compile cycles to the background
-    // lane, split across passes — for every finished result, including ones
-    // superseded by a higher level: the worker spent the cycles either way.
-    if (Prof && R.Code) {
-      const char *Lane = backgroundCompilePhase(R.Request.Level);
-      uint64_t Cost = R.Request.CostCycles;
-      uint64_t TotalWork = 0, Attributed = 0;
-      for (const jit::PassWork &PW : R.Code->Passes)
-        TotalWork += PW.Work;
-      if (TotalWork) {
-        for (const jit::PassWork &PW : R.Code->Passes) {
-          uint64_t Share = Cost * PW.Work / TotalWork;
-          Prof->chargeAt({"background", Lane, PW.Name}, Share, PW.Runs);
-          Attributed += Share;
-        }
-      }
-      Prof->chargeAt({"background", Lane}, Cost - Attributed, 1);
-    }
-    MethodState &State = Methods[R.Request.Method];
-    // A lower-or-equal-level result can arrive after a higher one was
-    // already installed (two requests racing in virtual time); keep the
-    // ladder monotone, as the synchronous path does.
-    if (levelIndex(R.Request.Level) <= levelIndex(State.Level))
-      continue;
-    OptLevel OldLevel = State.Level;
-    State.Code = std::move(R.Code);
-    State.Level = R.Request.Level;
-    State.Stats.FinalLevel = R.Request.Level;
-    ++State.Stats.NumCompiles;
-    Compiles.push_back(CompileEvent{R.Request.Method, R.Request.Level,
-                                    R.Request.ReadyAtCycle,
-                                    R.Request.CostCycles,
-                                    R.Request.RequestCycle,
-                                    /*Background=*/true});
-    if (Tracer && Tracer->enabled()) {
-      // Installed at the current invocation boundary, not the ready cycle:
-      // the code existed since ReadyAtCycle but lands at the next invoke.
-      TraceEvent E;
-      E.Cycle = Cycles;
-      E.Method = R.Request.Method;
-      E.Level = static_cast<int8_t>(R.Request.Level);
-      E.Kind = TraceEventKind::CompileInstall;
-      E.A = R.Request.SeqNo;
-      E.B = R.Request.CostCycles;
-      E.C = 1;
-      Tracer->record(E);
-      E.Kind = TraceEventKind::LevelTransition;
-      E.A = static_cast<uint64_t>(levelIndex(OldLevel));
-      E.B = static_cast<uint64_t>(State.Stats.NumCompiles);
-      E.C = 0;
-      Tracer->record(E);
-    }
   }
 }
 
@@ -298,8 +209,7 @@ void ExecutionEngine::ensureBaseline(MethodId Id) {
     charge(Cost);
   }
   ++State.Stats.NumCompiles;
-  Compiles.push_back(CompileEvent{Id, OptLevel::Baseline, Cycles, Cost,
-                                  Cycles - Cost, /*Background=*/false});
+  Compiles.push_back(CompileEvent{Id, OptLevel::Baseline, Cost});
   if (Tracer && Tracer->enabled()) {
     TraceEvent E;
     E.Kind = TraceEventKind::CompileInstall;
@@ -311,9 +221,7 @@ void ExecutionEngine::ensureBaseline(MethodId Id) {
   }
 
   // The paper's Evolve scheme issues a recompilation event right after the
-  // first-time (baseline) compilation.  With a background pipeline this is
-  // where the predicted level is enqueued — the method starts interpreting
-  // immediately while the optimizing compile runs on a worker.
+  // first-time (baseline) compilation.
   if (Policy) {
     MethodRuntimeInfo Info;
     Info.Id = Id;
@@ -321,7 +229,6 @@ void ExecutionEngine::ensureBaseline(MethodId Id) {
     Info.Invocations = 0;
     Info.Level = OptLevel::Baseline;
     Info.BytecodeSize = M.function(Id).Code.size();
-    Info.CompileBacklogCycles = Workers ? Workers->backlogCycles(Cycles) : 0;
     Info.NowCycles = Cycles;
     if (std::optional<OptLevel> L = Policy->onFirstInvocation(Info))
       installLevel(Id, *L);
@@ -345,9 +252,6 @@ std::optional<Value> ExecutionEngine::invoke(MethodId Id,
   // under the callee's own frame.
   ScopedPhase MethodScope(M.function(Id).Name);
   ensureBaseline(Id);
-  // Invocation boundaries are where finished background compiles land (no
-  // on-stack replacement: the frame below keeps its old code).
-  drainReadyCompiles();
   if (PendingTrap != TrapKind::None)
     return std::nullopt;
 
@@ -679,12 +583,6 @@ ErrorOr<RunResult> ExecutionEngine::run(const std::vector<Value> &Args,
   OverheadCycles = 0;
   Invocations = 0;
   Compiles.clear();
-  if (TM.NumCompileWorkers > 0 && !Workers) {
-    Workers = std::make_unique<CompileWorkerPool>(M, TM);
-    Workers->setTracer(Tracer);
-  }
-  if (Workers)
-    Workers->reset(); // drop in-flight compiles, rewind virtual timelines
   NextSampleAt = TM.SampleIntervalCycles / 2 +
                  SamplePhaseCycles % std::max<uint64_t>(
                                          1, TM.SampleIntervalCycles);
@@ -741,19 +639,11 @@ ErrorOr<RunResult> ExecutionEngine::run(const std::vector<Value> &Args,
   MetricsRegistry Reg;
   Reg.add("engine.cycles.total", Cycles);
   Reg.add("engine.cycles.stall_compile", CompileCycles);
-  Reg.add("engine.cycles.overlapped_compile",
-          Workers ? Workers->overlappedCycles() : 0);
   Reg.add("engine.cycles.overhead", OverheadCycles);
-  Reg.add("engine.compiles.dropped", Workers ? Workers->droppedRequests() : 0);
   Reg.add("engine.compiles.total", Compiles.size());
   Reg.add("engine.invocations.total", Invocations);
   Reg.add("engine.samples.total", Run.totalSamples());
   for (const CompileEvent &CE : Compiles) {
-    if (CE.Background) {
-      Reg.add("engine.compiles.background");
-      Reg.observe("engine.compile.install_delay_cycles",
-                  static_cast<double>(CE.AtCycle - CE.RequestedAtCycle));
-    }
     if (CE.Level != OptLevel::Baseline) {
       Reg.add("engine.compiles.optimizing");
       Reg.observe("engine.compile.cost_cycles",
@@ -761,8 +651,6 @@ ErrorOr<RunResult> ExecutionEngine::run(const std::vector<Value> &Args,
     }
   }
   Run.Metrics = Reg.snapshot();
-  if (Prof)
-    Run.Phases = Prof->snapshot();
 
   if (Tracer && Tracer->enabled()) {
     TraceEvent E;

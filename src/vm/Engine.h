@@ -25,7 +25,6 @@
 #include "support/Error.h"
 #include "support/Profiler.h"
 #include "support/Trace.h"
-#include "vm/CompileWorker.h"
 #include "vm/Heap.h"
 #include "vm/Policy.h"
 #include "vm/Profile.h"
@@ -67,16 +66,15 @@ public:
 
   /// Swaps the compilation policy for subsequent run()s (may be null).
   /// Long-lived hosts (the evolvable VM) change policy per production run
-  /// while keeping one engine — and with it one background worker pool —
-  /// alive across runs.  The pointer is only dereferenced during run(),
-  /// never stored across it.
+  /// while keeping one engine alive across runs.  The pointer is only
+  /// dereferenced during run(), never stored across it.
   void setPolicy(CompilationPolicy *P) { Policy = P; }
 
   /// Attaches an event recorder (may be null to detach).  The engine emits
   /// run/method/sample/compile/transition events with virtual-cycle
-  /// timestamps; the worker pool shares the same recorder.  Recording never
-  /// charges virtual cycles, so traced and untraced runs are cycle-identical.
-  void setTracer(TraceRecorder *T);
+  /// timestamps.  Recording never charges virtual cycles, so traced and
+  /// untraced runs are cycle-identical.
+  void setTracer(TraceRecorder *T) { Tracer = T; }
 
   /// Current level of \p Id (tests and policies may inspect this).
   OptLevel methodLevel(bc::MethodId Id) const;
@@ -120,16 +118,9 @@ private:
   void charge(uint64_t Cycles);
   /// One profiler hit: bumps the current method's samples, runs the policy.
   void sampleTick();
-  /// Moves \p Id to \p L.  Synchronous mode (TM.NumCompileWorkers == 0)
-  /// compiles on the spot, charging the full stall; background mode
-  /// enqueues a request on the worker pool and returns immediately — the
-  /// method keeps executing at its old level until the code is installable
-  /// (see drainReadyCompiles).
+  /// Moves \p Id to \p L: compiles on the spot, charging the full stall.
+  /// The new code takes effect at the method's next invocation (no OSR).
   void installLevel(bc::MethodId Id, OptLevel L);
-  /// Installs every background compile whose virtual ready time has
-  /// arrived (atomic code-pointer swap at an invocation boundary, matching
-  /// the no-OSR rule: new code takes effect at the next invocation).
-  void drainReadyCompiles();
   /// Runs first-encounter baseline compilation and the policy's proactive
   /// hook, if not done yet for this method.
   void ensureBaseline(bc::MethodId Id);
@@ -144,9 +135,6 @@ private:
   /// Per-method pinned code (see setCodeOverride); sparse, usually empty.
   std::vector<std::shared_ptr<const jit::CompiledFunction>> CodeOverrides;
   std::vector<bc::MethodId> CallStack;
-  /// Background pipeline; null in synchronous mode (created at the first
-  /// run() when TM.NumCompileWorkers > 0).
-  std::unique_ptr<CompileWorkerPool> Workers;
   uint64_t Cycles = 0;
   uint64_t NextSampleAt = 0;
   uint64_t CompileCycles = 0; ///< charged to the clock (stall account)

@@ -36,11 +36,6 @@ struct MethodRuntimeInfo {
   uint64_t Invocations = 0;
   OptLevel Level = OptLevel::Baseline;
   size_t BytecodeSize = 0;
-  /// Virtual cycles until a background compile worker frees up (0 when one
-  /// is idle, and always 0 in synchronous mode).  The cost-benefit model
-  /// prices this queue delay instead of a synchronous compile stall when
-  /// the pipeline is asynchronous.
-  uint64_t CompileBacklogCycles = 0;
   /// The engine's virtual clock at the moment of the hook, so policies can
   /// timestamp the trace events they emit.
   uint64_t NowCycles = 0;

@@ -18,7 +18,6 @@
 #include "bytecode/Module.h"
 #include "bytecode/Value.h"
 #include "support/Metrics.h"
-#include "support/Profiler.h"
 #include "vm/Timing.h"
 
 #include <cstdint>
@@ -27,17 +26,12 @@
 namespace evm {
 namespace vm {
 
-/// One (re)compilation performed during a run.  Synchronous compiles have
-/// AtCycle == RequestedAtCycle + CostCycles and stall the application for
-/// the whole cost; background compiles overlap with execution and AtCycle
-/// is the (deterministic) virtual cycle the code became installable.
+/// One (re)compilation performed during a run.  Every compile stalls the
+/// application for its whole cost.
 struct CompileEvent {
   bc::MethodId Method = 0;
   OptLevel Level = OptLevel::Baseline;
-  uint64_t AtCycle = 0;
   uint64_t CostCycles = 0;
-  uint64_t RequestedAtCycle = 0;
-  bool Background = false;
 };
 
 /// Per-method runtime statistics for one run.
@@ -74,31 +68,13 @@ struct RunResult {
   /// Structured accounting: every engine.* counter/gauge/histogram the run
   /// produced, name-sorted, with a stable JSON rendering.
   MetricsSnapshot Metrics;
-  /// Phase attribution of every charged cycle (see support/Profiler.h);
-  /// empty unless a PhaseProfiler was installed on the execution thread
-  /// during run().  Cumulative across run()s of a persistent engine.
-  PhaseTreeSnapshot Phases;
   std::vector<MethodStats> PerMethod;
   std::vector<CompileEvent> Compiles;
 
-  /// Time spent inside the compilers (stalled + overlapped).
+  /// Time spent inside the compilers, every cycle of it stalling the
+  /// application clock; always a component of Cycles.
   uint64_t compileCycles() const {
-    return stallCompileCycles() + overlappedCompileCycles();
-  }
-  /// Compile cycles charged to the application clock (baseline compiles
-  /// plus, in synchronous mode, every optimizing compile).  Always a
-  /// component of Cycles.
-  uint64_t stallCompileCycles() const {
     return Metrics.counter("engine.cycles.stall_compile");
-  }
-  /// Compile cycles spent on background worker timelines, overlapped with
-  /// execution; never part of Cycles.  Zero when NumCompileWorkers == 0.
-  uint64_t overlappedCompileCycles() const {
-    return Metrics.counter("engine.cycles.overlapped_compile");
-  }
-  /// Background requests dropped because the bounded queue was full.
-  uint64_t droppedCompiles() const {
-    return Metrics.counter("engine.compiles.dropped");
   }
   /// Cycles charged by the evolvable-VM machinery.
   uint64_t overheadCycles() const {

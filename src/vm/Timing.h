@@ -84,25 +84,6 @@ struct TimingModel {
   uint64_t CompileFixedCycles[4] = {50, 2000, 8000, 30000};
   /// Sampling interval of the runtime profiler (the paper's "samples").
   uint64_t SampleIntervalCycles = 50000;
-  /// Background compilation pipeline.  0 (the default) compiles
-  /// synchronously on the execution thread, stalling the application for
-  /// the full compile cost — the seed behavior, which keeps every existing
-  /// figure valid.  >= 1 models Jikes RVM's dedicated compilation threads:
-  /// optimizing compiles run on per-worker virtual timelines and the
-  /// application keeps executing old code until the new code is
-  /// installable at
-  ///   max(request_cycle + CompileQueueDelayCycles, worker_free_cycle)
-  ///     + compile_cycles.
-  /// Baseline compiles always stay on the execution thread (code cannot
-  /// run before it exists).
-  uint64_t NumCompileWorkers = 0;
-  /// Fixed virtual handoff latency from the execution thread to a compile
-  /// worker (enqueue, wakeup, plan setup).
-  uint64_t CompileQueueDelayCycles = 200;
-  /// Bound on in-flight (requested, not yet installed) background
-  /// compiles; requests beyond it are dropped deterministically and
-  /// counted in RunResult::DroppedCompiles.
-  uint64_t CompileQueueCapacity = 32;
   /// Converts cycles to reported seconds (a 10 MHz virtual machine: chosen
   /// so workload run times land in the paper's 1-26 s range).
   double CyclesPerSecond = 10.0e6;

@@ -147,6 +147,20 @@ TEST(AssemblerDiagnostics, OperandArityErrors) {
             std::string::npos);
 }
 
+TEST(AssemblerDiagnostics, FunctionNamesMustBeIdentifiers) {
+  // Names become profiler frames and trace labels: a '"' would break their
+  // JSON, a ';' would split the collapsed stack.
+  for (const char *Header : {"func ma\"in(0)", "func ma;in(0)",
+                             "func 9main(0)"}) {
+    std::string Msg = diagnosticOf("func f(0)\n  const_i 1\n  ret\nend\n" +
+                                   std::string(Header) +
+                                   "\n  const_i 1\n  ret\nend\n");
+    EXPECT_NE(Msg.find("line 5: malformed function header"),
+              std::string::npos)
+        << Header << ": " << Msg;
+  }
+}
+
 TEST(AssemblerDiagnostics, LineNumbersReported) {
   std::string Msg =
       diagnosticOf("func main(0)\n  const_i 1\n  frob\n  ret\nend\n");

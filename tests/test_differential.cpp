@@ -165,41 +165,9 @@ TEST(Differential, GeneratedWorkloadsAgreeAcrossTiers) {
   }
 }
 
-TEST(Differential, BackgroundPipelineMatchesSynchronous) {
-  // The async compile pipeline must not change *results*, only timing:
-  // for a sample of seeds, an adaptive run with background workers returns
-  // exactly what the synchronous adaptive run returns.
-  for (uint64_t Seed = SeedBase; Seed != SeedBase + 25; ++Seed) {
-    SCOPED_TRACE("seed=" + std::to_string(Seed));
-    auto MOrErr = wl::generateRandomProgram(Seed);
-    ASSERT_TRUE(static_cast<bool>(MOrErr));
-    const bc::Module &M = *MOrErr;
-
-    auto runWithWorkers = [&](uint64_t Workers) {
-      TimingModel TM;
-      TM.NumCompileWorkers = Workers;
-      AdaptivePolicy Policy(TM);
-      ExecutionEngine Engine(M, TM, &Policy);
-      return Engine.run({bc::Value::makeInt(11)}, MaxCycles);
-    };
-    auto Sync = runWithWorkers(0);
-    auto Async = runWithWorkers(2);
-    ASSERT_EQ(static_cast<bool>(Sync), static_cast<bool>(Async))
-        << "seed=" << Seed;
-    if (!Sync) {
-      EXPECT_EQ(Sync.getError().message(), Async.getError().message())
-          << "seed=" << Seed;
-      continue;
-    }
-    EXPECT_TRUE(valuesEquivalent(Sync->ReturnValue, Async->ReturnValue))
-        << "seed=" << Seed << ": sync=" << Sync->ReturnValue.str()
-        << " async=" << Async->ReturnValue.str();
-  }
-}
-
-TEST(Differential, TracedBackgroundPipelineIsDeterministic) {
-  // Tracing must be a pure observer: attaching a recorder to the async
-  // pipeline changes neither results nor virtual time, and two identical
+TEST(Differential, TracedPipelineIsDeterministic) {
+  // Tracing must be a pure observer: attaching a recorder to the adaptive
+  // engine changes neither results nor virtual time, and two identical
   // traced runs produce byte-identical event streams.
   for (uint64_t Seed = SeedBase; Seed != SeedBase + 10; ++Seed) {
     SCOPED_TRACE("seed=" + std::to_string(Seed));
@@ -209,7 +177,6 @@ TEST(Differential, TracedBackgroundPipelineIsDeterministic) {
 
     auto runTraced = [&](TraceRecorder *Tracer) {
       TimingModel TM;
-      TM.NumCompileWorkers = 2;
       AdaptivePolicy Policy(TM, Tracer);
       ExecutionEngine Engine(M, TM, &Policy);
       Engine.setTracer(Tracer);

@@ -9,8 +9,8 @@
 //   * the "run" subtree total equals the sum of RunResult::Cycles over the
 //     profiled runs — every charged cycle is attributed exactly once;
 //   * a full Evolve scenario populates the expected tree regions: JIT
-//     compile phases with per-pass children, the background worker lane,
-//     the offline model-rebuild lane, and the xicl/ml overhead split;
+//     compile phases with per-pass children, the offline model-rebuild
+//     lane, and the xicl/ml overhead split;
 //   * tree mechanics: attributeChild clamps to what the parent holds,
 //     splitToChild refines the current scope, self-recursion collapses,
 //     depth is bounded, root charges export as "(unattributed)";
@@ -38,11 +38,10 @@ namespace {
 constexpr uint64_t Seed = 20090301;
 
 /// One engine run of a mid-sized Compress input; returns its cycle count.
-uint64_t runOnce(bool Profiled, int Workers) {
+uint64_t runOnce(bool Profiled) {
   wl::Workload W = wl::buildWorkload("Compress", Seed);
   const wl::InputCase &Input = W.Inputs[W.Inputs.size() / 2];
   vm::TimingModel TM;
-  TM.NumCompileWorkers = Workers;
   vm::AdaptivePolicy Policy(TM, nullptr);
   vm::ExecutionEngine Engine(W.Module, TM, &Policy);
   PhaseProfiler Profiler;
@@ -54,12 +53,11 @@ uint64_t runOnce(bool Profiled, int Workers) {
   return R ? R->Cycles : 0;
 }
 
-/// One full profiled Evolve scenario (workers on); returns the snapshot.
+/// One full profiled Evolve scenario; returns the snapshot.
 PhaseTreeSnapshot runProfiledScenario() {
   wl::Workload W = wl::buildWorkload("Mtrt", Seed);
   harness::ExperimentConfig C;
   C.Seed = Seed;
-  C.Timing.NumCompileWorkers = 2;
   harness::ScenarioRunner Runner(W, C);
   PhaseProfiler Profiler;
   ProfilerInstallGuard Guard(&Profiler);
@@ -79,12 +77,9 @@ bool anyStackContains(const PhaseTreeSnapshot &S, std::string_view Needle) {
 } // namespace
 
 TEST(Profiler, ProfilingNeverChangesVirtualTime) {
-  for (int Workers : {0, 2}) {
-    uint64_t Plain = runOnce(false, Workers);
-    uint64_t Profiled = runOnce(true, Workers);
-    EXPECT_EQ(Plain, Profiled) << "workers=" << Workers;
-    EXPECT_GT(Plain, 0u);
-  }
+  uint64_t Plain = runOnce(false);
+  EXPECT_EQ(Plain, runOnce(true));
+  EXPECT_GT(Plain, 0u);
 }
 
 TEST(Profiler, IdenticalRunsProduceByteIdenticalProfiles) {
@@ -99,7 +94,6 @@ TEST(Profiler, IdenticalRunsProduceByteIdenticalProfiles) {
 TEST(Profiler, RunSubtreeEqualsSumOfRunCycles) {
   wl::Workload W = wl::buildWorkload("Compress", Seed);
   vm::TimingModel TM;
-  TM.NumCompileWorkers = 0;
   vm::AdaptivePolicy Policy(TM, nullptr);
   vm::ExecutionEngine Engine(W.Module, TM, &Policy);
   PhaseProfiler Profiler;
@@ -109,30 +103,23 @@ TEST(Profiler, RunSubtreeEqualsSumOfRunCycles) {
     auto R = Engine.run(W.Inputs[I].VmArgs);
     ASSERT_TRUE(static_cast<bool>(R));
     Sum += R->Cycles;
-    // The per-run snapshot rides along in the result and is cumulative.
-    EXPECT_EQ(R->Phases.totalUnder("run"),
-              Profiler.snapshot().totalUnder("run"));
   }
   PhaseTreeSnapshot S = Profiler.snapshot();
   EXPECT_EQ(S.totalUnder("run"), Sum);
   EXPECT_GT(Sum, 0u);
-  // Synchronous mode: baseline compiles and the AOS sampler show up under
-  // the run tree; nothing lands on the background lane.
+  // Baseline compiles and the AOS sampler show up under the run tree.
   EXPECT_TRUE(anyStackContains(S, "jit/compile/baseline"));
   EXPECT_TRUE(anyStackContains(S, "interp"));
   EXPECT_TRUE(anyStackContains(S, "aos/sample"));
-  EXPECT_EQ(S.totalUnder("background"), 0u);
 }
 
-TEST(Profiler, ScenarioPopulatesAllThreeRoots) {
+TEST(Profiler, ScenarioPopulatesBothRoots) {
   PhaseTreeSnapshot S = runProfiledScenario();
   // Execution clock.
   EXPECT_GT(S.totalUnder("run"), 0u);
   // Optimizing compiles happened, with per-pass refinement underneath.
   EXPECT_TRUE(anyStackContains(S, "jit/compile/"));
   EXPECT_TRUE(anyStackContains(S, ";lower"));
-  // Workers were on: some compile cost ran on the background lane.
-  EXPECT_GT(S.totalUnder("background"), 0u);
   // The evolvable VM rebuilt models and updated the repository offline.
   EXPECT_GT(S.totalUnder("offline"), 0u);
   EXPECT_TRUE(anyStackContains(S, "ml/rebuild"));
@@ -219,14 +206,14 @@ TEST(Profiler, JsonRoundTripsExactly) {
   P.charge(2);
   P.exit();
   P.exit();
-  P.chargeAt({"background", "compile/o2"}, 11, 1);
+  P.chargeAt({"offline", "ml/rebuild"}, 11, 1);
   PhaseTreeSnapshot S = P.snapshot();
   std::string Json = S.renderJson();
   auto Back = parsePhaseTreeJson(Json);
   ASSERT_TRUE(static_cast<bool>(Back)) << Back.getError().message();
   EXPECT_EQ(Back->renderJson(), Json);
   EXPECT_EQ(Back->totalUnder("run"), 5u);
-  EXPECT_EQ(Back->cyclesAt("background;compile/o2"), 11u);
+  EXPECT_EQ(Back->cyclesAt("offline;ml/rebuild"), 11u);
 
   // The parser also accepts documents that embed the phases array (bench
   // --json, evm_cli --profile-out).

@@ -2,14 +2,14 @@
 //
 // The tracing acceptance battery:
 //
-//   * two identical traced scenario replays (background workers on) produce
-//     byte-identical JSONL traces and metrics snapshots;
+//   * two identical traced scenario replays produce byte-identical JSONL
+//     traces and metrics snapshots;
 //   * attaching an enabled recorder never changes virtual cycle counts
 //     (recording is free on the modeled machine);
-//   * the JSONL schema round-trips through parseJsonlTraceLine and only
-//     contains known event kinds;
-//   * the Chrome exporter emits the metadata and span events Perfetto
-//     needs;
+//   * the JSONL schema round-trips through parseJsonlTraceLine, only
+//     contains known event kinds, and non-numeric values are rejected;
+//   * the Chrome exporter emits the metadata, run spans and instant events
+//     Perfetto needs;
 //   * the evm-trace reports (support/TraceAnalysis.h) render the expected
 //     sections from a real trace.
 //
@@ -40,13 +40,12 @@ TraceMeta metaFor(const bc::Module &M) {
   return Meta;
 }
 
-/// One full traced Evolve replay (workers on); returns the JSONL trace and
-/// the last run's metrics JSON.
+/// One full traced Evolve replay; returns the JSONL trace and the last
+/// run's metrics JSON.
 void runTracedScenario(std::string &JsonlOut, std::string &MetricsOut) {
   wl::Workload W = wl::buildWorkload("Mtrt", Seed);
   harness::ExperimentConfig C;
   C.Seed = Seed;
-  C.Timing.NumCompileWorkers = 2;
   harness::ScenarioRunner Runner(W, C);
   TraceRecorder Tracer;
   Tracer.setEnabled(true);
@@ -80,7 +79,6 @@ TEST(Trace, TracingNeverChangesVirtualTime) {
   const wl::InputCase &Input = W.Inputs[W.Inputs.size() / 2];
   auto runMaybeTraced = [&](TraceRecorder *Tracer) {
     vm::TimingModel TM;
-    TM.NumCompileWorkers = 2;
     vm::AdaptivePolicy Policy(TM, Tracer);
     vm::ExecutionEngine Engine(W.Module, TM, &Policy);
     Engine.setTracer(Tracer);
@@ -142,8 +140,18 @@ TEST(Trace, JsonlSchemaRoundTrips) {
   EXPECT_FALSE(parseJsonlTraceLine("{\"cycle\":1}", E));
   EXPECT_FALSE(parseJsonlTraceLine(
       "{\"cycle\":1,\"kind\":\"bogus.kind\",\"method\":0,\"name\":\"m\","
-      "\"level\":0,\"tid\":0,\"a\":0,\"b\":0,\"c\":0,\"x\":0}",
+      "\"level\":0,\"a\":0,\"b\":0,\"c\":0,\"x\":0}",
       E));
+  // So are numeric keys whose value is not a number.
+  for (const char *Line : {"{\"cycle\":\"x\",\"kind\":\"run.begin\"}",
+                           "{\"cycle\":,\"kind\":\"run.begin\"}",
+                           "{\"cycle\":12,\"kind\":\"run.begin\",\"a\":oops}",
+                           "{\"cycle\":12x,\"kind\":\"run.begin\"}"})
+    EXPECT_FALSE(parseJsonlTraceLine(Line, E)) << Line;
+  // Optional keys may be absent.
+  ASSERT_TRUE(parseJsonlTraceLine("{\"cycle\":12,\"kind\":\"run.begin\"}", E));
+  EXPECT_EQ(E.Cycle, 12u);
+  EXPECT_EQ(E.Kind, TraceEventKind::RunBegin);
 }
 
 TEST(Trace, ChromeExportCarriesPerfettoStructure) {
@@ -153,7 +161,6 @@ TEST(Trace, ChromeExportCarriesPerfettoStructure) {
   wl::Workload W = wl::buildWorkload("Mtrt", Seed);
   harness::ExperimentConfig C;
   C.Seed = Seed;
-  C.Timing.NumCompileWorkers = 2;
   harness::ScenarioRunner Runner(W, C);
   TraceRecorder Tracer;
   Tracer.setEnabled(true);
@@ -166,15 +173,13 @@ TEST(Trace, ChromeExportCarriesPerfettoStructure) {
   EXPECT_EQ(Chrome.rfind("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[", 0),
             0u);
   EXPECT_EQ(Chrome.substr(Chrome.size() - 3), "]}\n");
-  // Thread metadata for the execution thread and both workers.
+  // Process and execution-thread metadata.
   EXPECT_NE(Chrome.find("\"process_name\""), std::string::npos);
   EXPECT_NE(Chrome.find("\"execution\""), std::string::npos);
-  EXPECT_NE(Chrome.find("\"compile-worker 0\""), std::string::npos);
-  EXPECT_NE(Chrome.find("\"compile-worker 1\""), std::string::npos);
-  // Compile spans on worker timelines plus decision instants.
+  // Whole-run spans plus decision instants.
   EXPECT_NE(Chrome.find("\"ph\":\"X\""), std::string::npos);
   EXPECT_NE(Chrome.find("\"ph\":\"i\""), std::string::npos);
-  EXPECT_NE(Chrome.find("\"compile.enqueue\""), std::string::npos);
+  EXPECT_NE(Chrome.find("\"compile.install\""), std::string::npos);
   EXPECT_NE(Chrome.find("\"costbenefit.eval\""), std::string::npos);
   EXPECT_NE(Chrome.find("\"evolve.predict\""), std::string::npos);
 }
@@ -198,7 +203,7 @@ TEST(Trace, AnalysisReportsRenderFromRealTrace) {
   std::string Compiles = renderCompileAccounting(*Parsed);
   EXPECT_NE(Compiles.find("Compile-pipeline accounting"), std::string::npos);
   EXPECT_NE(Compiles.find("total:"), std::string::npos);
-  // Workers were on, so some compile cost must overlap execution.
+  // The scenario compiled methods, so the report counts installs.
   EXPECT_EQ(Compiles.find("total: 0 installs"), std::string::npos);
 
   std::string Evolve = renderEvolveDiff(*Parsed);
@@ -237,19 +242,9 @@ TEST(TraceAnalysis, ZeroCompileEventsDegradeGracefully) {
   ASSERT_TRUE(static_cast<bool>(Parsed));
 
   std::vector<TraceEvent> Kept;
-  for (const TraceEvent &E : Parsed->Events) {
-    switch (E.Kind) {
-    case TraceEventKind::CompileEnqueue:
-    case TraceEventKind::CompileStart:
-    case TraceEventKind::CompileReady:
-    case TraceEventKind::CompileInstall:
-    case TraceEventKind::CompileDrop:
-    case TraceEventKind::CompileCoalesce:
-      continue;
-    default:
+  for (const TraceEvent &E : Parsed->Events)
+    if (E.Kind != TraceEventKind::CompileInstall)
       Kept.push_back(E);
-    }
-  }
   ASSERT_LT(Kept.size(), Parsed->Events.size());
 
   // Round-trip the stripped events through the JSONL text path so the

@@ -11,8 +11,8 @@
 //   --overhead[=PCT] the paper's self-overhead check: XICL characterization
 //                    + prediction cycles as a percentage of the run total;
 //                    exits 1 when the percentage is >= PCT (default 1.0)
-//   --diff           phase-by-phase cycle diff of two profiles (reactive vs
-//                    Evolve, sync vs async workers)
+//   --diff           phase-by-phase cycle diff of two profiles (e.g.
+//                    reactive vs Evolve)
 //   --flame          emit flamegraph.pl-compatible collapsed stacks
 //   --speedscope     emit speedscope JSON (open at https://speedscope.app)
 //   --latency        phase-latency percentiles (p50/p90/p99) from the

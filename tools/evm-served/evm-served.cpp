@@ -70,8 +70,6 @@ void printUsage(const char *Argv0, std::FILE *To) {
       "  --checkpoint-every=N  publish lane checkpoints every N runs\n"
       "                        (default 0 = only at drain)\n"
       "  --seed=S              workload build seed (default 1)\n"
-      "  --workers=N           background compile workers per lane VM\n"
-      "                        (default: timing-model default)\n"
       "  --metrics-out=FILE    final server.* metrics snapshot JSON\n"
       "  --decisions-out=FILE  decision ledger JSONL (runs + rejected\n"
       "                        requests; input of tools/evm-explain)\n"
@@ -86,7 +84,7 @@ int main(int argc, char **argv) {
   server::ServerConfig Config;
   std::string MetricsOut, DecisionsOut;
   int64_t Lanes = 8, Batch = 4, DeadlineUs = 1000, MaxQueue = 256;
-  int64_t MaxInflight = 64, CheckpointEvery = 0, Workers = -1, Seed = 1;
+  int64_t MaxInflight = 64, CheckpointEvery = 0, Seed = 1;
 
   for (int I = 1; I != argc; ++I) {
     std::string Arg = argv[I];
@@ -135,10 +133,6 @@ int main(int argc, char **argv) {
     } else if (matchValueFlag(Arg, "--seed", argc, argv, I, Val, HasVal)) {
       if (!parseIntOption("--seed", Val, HasVal, 0, Seed))
         return ExitUsage;
-    } else if (matchValueFlag(Arg, "--workers", argc, argv, I, Val,
-                              HasVal)) {
-      if (!parseIntOption("--workers", Val, HasVal, 0, Workers))
-        return ExitUsage;
     } else if (matchValueFlag(Arg, "--metrics-out", argc, argv, I, Val,
                               HasVal)) {
       if (!parseStringOption("--metrics-out", Val, HasVal, "a file",
@@ -169,9 +163,6 @@ int main(int argc, char **argv) {
   Config.MaxInflightPerClient = static_cast<size_t>(MaxInflight);
   Config.CheckpointEvery = static_cast<size_t>(CheckpointEvery);
   Config.CaptureDecisions = !DecisionsOut.empty();
-  if (Workers >= 0)
-    Config.Experiment.Timing.NumCompileWorkers =
-        static_cast<uint64_t>(Workers);
 
   server::PredictionServer Server(Config);
   if (!Server.start()) {

@@ -9,8 +9,8 @@
 //
 //   --timeline   per-run, per-method tier timeline (level transitions at
 //                their virtual cycles, invocation/sample totals)
-//   --compiles   compile-pipeline accounting (stalled vs overlapped cost,
-//                drops, coalesces, per-worker busy cycles)
+//   --compiles   compile-pipeline accounting (installs and the cycles
+//                their compiles stalled the application, per run)
 //   --evolve     Evolve-vs-reactive diff (predictions next to recompile
 //                counts; recompilations avoided, cycles at optimized level
 //                gained)
