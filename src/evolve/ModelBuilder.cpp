@@ -23,6 +23,23 @@ void ModelBuilder::addRun(const xicl::FeatureVector &Features,
   Labels.push_back(std::move(Row));
 }
 
+namespace {
+
+/// Fills \p Column with method \p M's label in every recorded run and
+/// returns whether it varies (a constant column needs no tree).
+bool methodLabels(const std::vector<std::vector<int>> &Labels, size_t M,
+                 std::vector<int> &Column) {
+  Column.resize(Labels.size());
+  bool Varies = false;
+  for (size_t R = 0; R != Labels.size(); ++R) {
+    Column[R] = Labels[R][M];
+    Varies |= Column[R] != Column[0];
+  }
+  return Varies;
+}
+
+} // namespace
+
 void ModelBuilder::rebuild() {
   if (Labels.empty())
     return;
@@ -35,26 +52,21 @@ void ModelBuilder::rebuild() {
   Models.clear();
   Models.resize(NumMethods);
 
+  // One presorted table serves every method's tree; it is built at the
+  // first method that needs one.
+  std::optional<ml::SortedColumns> Table;
+  std::vector<int> Column;
   for (size_t M = 0; M != NumMethods; ++M) {
     LastRebuild.ExamplesScanned += Labels.size();
-    int First = Labels.front()[M];
-    bool AllSame = true;
-    for (const auto &Row : Labels)
-      if (Row[M] != First) {
-        AllSame = false;
-        break;
-      }
-    if (AllSame) {
+    if (!methodLabels(Labels, M, Column)) {
       Models[M].Constant = true;
-      Models[M].ConstantLabel = First;
+      Models[M].ConstantLabel = Column[0];
       continue;
     }
-    // Relabel a copy of the shared feature table for this method and train.
-    ml::Dataset D = Encoded;
-    for (size_t R = 0; R != Labels.size(); ++R)
-      D.setLabel(R, Labels[R][M]);
+    if (!Table)
+      Table.emplace(Encoded);
     Models[M].Constant = false;
-    Models[M].Tree = ml::ClassificationTree::build(D, Params);
+    Models[M].Tree = ml::ClassificationTree::build(*Table, Column, Params);
     ++LastRebuild.TreesBuilt;
     LastRebuild.NodesBuilt += Models[M].Tree.numNodes();
   }
@@ -115,22 +127,17 @@ double ModelBuilder::crossValidatedAccuracy(int Folds, Rng &R) const {
   ScopedPhase CvScope("ml/crossval");
   RebuildStats Modeled;
   double Sum = 0;
+  // One presorted table serves every method and every fold.
+  std::optional<ml::SortedColumns> Table;
+  std::vector<int> Column;
   for (size_t M = 0; M != NumMethods; ++M) {
-    int First = Labels.front()[M];
-    bool AllSame = true;
-    for (const auto &Row : Labels)
-      if (Row[M] != First) {
-        AllSame = false;
-        break;
-      }
-    if (AllSame) {
+    if (!methodLabels(Labels, M, Column)) {
       Sum += 1.0; // a constant predictor generalizes trivially
       continue;
     }
-    ml::Dataset D = Encoded;
-    for (size_t Row = 0; Row != Labels.size(); ++Row)
-      D.setLabel(Row, Labels[Row][M]);
-    Sum += ml::kFoldAccuracy(D, Folds, R, Params);
+    if (!Table)
+      Table.emplace(Encoded);
+    Sum += ml::kFoldAccuracy(*Table, Column, Folds, R, Params);
     Modeled.TreesBuilt += static_cast<uint64_t>(Folds);
     Modeled.ExamplesScanned +=
         static_cast<uint64_t>(Folds) * Labels.size();

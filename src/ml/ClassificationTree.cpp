@@ -10,21 +10,21 @@
 #include <cctype>
 #include <cmath>
 #include <cstdlib>
-#include <map>
 
 using namespace evm;
 using namespace evm::ml;
 
-double ml::labelEntropy(const Dataset &D, const std::vector<size_t> &Rows) {
-  if (Rows.empty())
+double ml::labelEntropy(std::span<const size_t> Counts) {
+  size_t Total = 0;
+  for (size_t Count : Counts)
+    Total += Count;
+  if (Total == 0)
     return 0;
-  std::map<int, size_t> Counts;
-  for (size_t R : Rows)
-    ++Counts[D.example(R).Label];
   double Entropy = 0;
-  double N = static_cast<double>(Rows.size());
-  for (const auto &[Label, Count] : Counts) {
-    (void)Label;
+  double N = static_cast<double>(Total);
+  for (size_t Count : Counts) {
+    if (Count == 0)
+      continue;
     double P = static_cast<double>(Count) / N;
     Entropy -= P * std::log2(P);
   }
@@ -32,21 +32,6 @@ double ml::labelEntropy(const Dataset &D, const std::vector<size_t> &Rows) {
 }
 
 namespace {
-
-/// Majority label of \p Rows (smallest label wins ties); 0 when empty.
-int majorityLabel(const Dataset &D, const std::vector<size_t> &Rows) {
-  std::map<int, size_t> Counts;
-  for (size_t R : Rows)
-    ++Counts[D.example(R).Label];
-  int Best = 0;
-  size_t BestCount = 0;
-  for (const auto &[Label, Count] : Counts)
-    if (Count > BestCount) {
-      Best = Label;
-      BestCount = Count;
-    }
-  return Best;
-}
 
 struct SplitChoice {
   double Gain = -1;
@@ -56,126 +41,235 @@ struct SplitChoice {
   int CategoryId = 0;
 };
 
-/// Entropy gain of partitioning Rows into (Left, Right).
-double splitGain(const Dataset &D, const std::vector<size_t> &Rows,
-                 const std::vector<size_t> &Left,
-                 const std::vector<size_t> &Right, double ParentEntropy) {
-  if (Left.empty() || Right.empty())
-    return -1;
-  double N = static_cast<double>(Rows.size());
-  double Weighted =
-      (static_cast<double>(Left.size()) / N) * labelEntropy(D, Left) +
-      (static_cast<double>(Right.size()) / N) * labelEntropy(D, Right);
-  return ParentEntropy - Weighted;
-}
+} // namespace
 
-/// Finds the best question over all features for \p Rows.
-SplitChoice chooseSplit(const Dataset &D, const std::vector<size_t> &Rows) {
-  SplitChoice Best;
-  double ParentEntropy = labelEntropy(D, Rows);
-  if (ParentEntropy <= 0)
+/// The presorted sweep over one tree's training rows.  Work holds, per
+/// feature, the training rows in that feature's sorted order; a node owns
+/// the same [Begin, End) range of every feature's segment, and splitting it
+/// stable-partitions each segment, so children inherit sorted order and
+/// nothing is re-sorted.  Labels are dense ids in ascending label order,
+/// so entropy terms sum in label order and majority ties go to the
+/// smallest label.
+struct ClassificationTree::Builder {
+  const SortedColumns &S;
+  const TreeParams &Params;
+  size_t NumTrain = 0;
+  std::vector<int> LabelValues;   ///< dense id -> label, ascending
+  std::vector<size_t> LabelOf;    ///< row id -> dense id (training rows)
+  std::vector<size_t> Work;       ///< feature F's segment at F * NumTrain
+  std::vector<size_t> RightRows;  ///< right side of a segment partition
+  std::vector<char> GoesLeft;     ///< row id -> side of the split applied
+  std::vector<size_t> RootCounts; ///< label counts of every training row
+  std::vector<size_t> LeftCounts, RightCounts;
+
+  Builder(const SortedColumns &S, const std::vector<int> &Labels,
+          const TreeParams &Params, const std::vector<char> *TrainRows)
+      : S(S), Params(Params), LabelOf(S.numRows()), GoesLeft(S.numRows()) {
+    assert(Labels.size() == S.numRows() && "one label per row");
+    assert((!TrainRows || TrainRows->size() == S.numRows()) &&
+           "one mask entry per row");
+    auto Trains = [&](size_t R) { return !TrainRows || (*TrainRows)[R]; };
+    for (size_t R = 0; R != S.numRows(); ++R)
+      if (Trains(R)) {
+        LabelValues.push_back(Labels[R]);
+        ++NumTrain;
+      }
+    std::sort(LabelValues.begin(), LabelValues.end());
+    LabelValues.erase(std::unique(LabelValues.begin(), LabelValues.end()),
+                      LabelValues.end());
+    RootCounts.resize(LabelValues.size());
+    for (size_t R = 0; R != S.numRows(); ++R)
+      if (Trains(R)) {
+        LabelOf[R] = static_cast<size_t>(
+            std::lower_bound(LabelValues.begin(), LabelValues.end(),
+                             Labels[R]) -
+            LabelValues.begin());
+        ++RootCounts[LabelOf[R]];
+      }
+
+    Work.resize(S.numFeatures() * NumTrain);
+    for (size_t F = 0; F != S.numFeatures(); ++F) {
+      size_t *Out = Work.data() + F * NumTrain;
+      const size_t *Sorted = S.order(F);
+      for (size_t I = 0; I != S.numRows(); ++I)
+        if (Trains(Sorted[I]))
+          *Out++ = Sorted[I];
+    }
+    RightRows.resize(NumTrain);
+    LeftCounts.resize(LabelValues.size());
+    RightCounts.resize(LabelValues.size());
+  }
+
+  /// Label counts of the node rows [Begin, End), read from feature 0's
+  /// segment (every segment holds the same rows).
+  std::vector<size_t> countLabels(size_t Begin, size_t End) const {
+    std::vector<size_t> Counts(LabelValues.size());
+    for (size_t I = Begin; I != End; ++I)
+      ++Counts[LabelOf[Work[I]]];
+    return Counts;
+  }
+
+  /// Smallest label among the most frequent; 0 for an empty node.
+  int majorityLabel(const std::vector<size_t> &Counts) const {
+    int Best = 0;
+    size_t BestCount = 0;
+    for (size_t Id = 0; Id != Counts.size(); ++Id)
+      if (Counts[Id] > BestCount) {
+        Best = LabelValues[Id];
+        BestCount = Counts[Id];
+      }
     return Best;
+  }
 
-  for (size_t F = 0; F != D.numFeatures(); ++F) {
-    const FeatureDef &Def = D.schema()[F];
-    // Distinct values present in this partition.
-    std::vector<double> Values;
-    Values.reserve(Rows.size());
-    for (size_t R : Rows)
-      Values.push_back(D.example(R).Values[F]);
-    std::sort(Values.begin(), Values.end());
-    Values.erase(std::unique(Values.begin(), Values.end()), Values.end());
-    if (Values.size() < 2)
-      continue; // constant feature: can never reduce impurity
+  /// Entropy gain of sending \p NumLeft of the node's rows, with label
+  /// counts LeftCounts, to the left child.
+  double gain(const std::vector<size_t> &Counts, size_t NumRows,
+              size_t NumLeft, double ParentEntropy) {
+    for (size_t Id = 0; Id != Counts.size(); ++Id)
+      RightCounts[Id] = Counts[Id] - LeftCounts[Id];
+    double N = static_cast<double>(NumRows);
+    double Weighted =
+        (static_cast<double>(NumLeft) / N) * labelEntropy(LeftCounts) +
+        (static_cast<double>(NumRows - NumLeft) / N) *
+            labelEntropy(RightCounts);
+    return ParentEntropy - Weighted;
+  }
 
-    if (Def.Categorical) {
-      // One-vs-rest equality questions.
-      for (double Category : Values) {
-        std::vector<size_t> Left, Right;
-        for (size_t R : Rows) {
-          if (D.example(R).Values[F] == Category)
-            Left.push_back(R);
-          else
-            Right.push_back(R);
+  /// Finds the best question over all features for the node [Begin, End).
+  SplitChoice chooseSplit(size_t Begin, size_t End,
+                          const std::vector<size_t> &Counts) {
+    SplitChoice Best;
+    double ParentEntropy = labelEntropy(Counts);
+    if (ParentEntropy <= 0)
+      return Best;
+    size_t M = End - Begin;
+
+    for (size_t F = 0; F != S.numFeatures(); ++F) {
+      const size_t *Rows = Work.data() + F * NumTrain + Begin;
+      const double *Col = S.column(F);
+      if (Col[Rows[0]] == Col[Rows[M - 1]])
+        continue; // constant feature: can never reduce impurity
+
+      if (S.categorical(F)) {
+        // One-vs-rest equality questions, one per run of equal values.
+        for (size_t I = 0; I != M;) {
+          double Category = Col[Rows[I]];
+          std::fill(LeftCounts.begin(), LeftCounts.end(), 0);
+          size_t J = I;
+          for (; J != M && Col[Rows[J]] == Category; ++J)
+            ++LeftCounts[LabelOf[Rows[J]]];
+          double Gain = gain(Counts, M, J - I, ParentEntropy);
+          if (Gain > Best.Gain) {
+            Best.Gain = Gain;
+            Best.FeatureIndex = F;
+            Best.Categorical = true;
+            Best.CategoryId = static_cast<int>(Category);
+          }
+          I = J;
         }
-        double Gain = splitGain(D, Rows, Left, Right, ParentEntropy);
+        continue;
+      }
+
+      // Numeric thresholds: midpoints between consecutive distinct values,
+      // left when value < T.  The cursor only advances while value < T:
+      // the midpoint can round onto the lower value, or overflow to inf
+      // past it, and thresholds never decrease.
+      std::fill(LeftCounts.begin(), LeftCounts.end(), 0);
+      size_t Cursor = 0;
+      double Lower = Col[Rows[0]];
+      for (size_t I = 1; I != M; ++I) {
+        double Upper = Col[Rows[I]];
+        if (Upper == Lower)
+          continue;
+        double Threshold = (Lower + Upper) / 2;
+        Lower = Upper;
+        for (; Cursor != M && Col[Rows[Cursor]] < Threshold; ++Cursor)
+          ++LeftCounts[LabelOf[Rows[Cursor]]];
+        if (Cursor == 0 || Cursor == M)
+          continue;
+        double Gain = gain(Counts, M, Cursor, ParentEntropy);
         if (Gain > Best.Gain) {
           Best.Gain = Gain;
           Best.FeatureIndex = F;
-          Best.Categorical = true;
-          Best.CategoryId = static_cast<int>(Category);
+          Best.Categorical = false;
+          Best.Threshold = Threshold;
         }
       }
-      continue;
     }
-
-    // Numeric thresholds: midpoints between consecutive distinct values.
-    for (size_t K = 1; K != Values.size(); ++K) {
-      double Threshold = (Values[K - 1] + Values[K]) / 2;
-      std::vector<size_t> Left, Right;
-      for (size_t R : Rows) {
-        if (D.example(R).Values[F] < Threshold)
-          Left.push_back(R);
-        else
-          Right.push_back(R);
-      }
-      double Gain = splitGain(D, Rows, Left, Right, ParentEntropy);
-      if (Gain > Best.Gain) {
-        Best.Gain = Gain;
-        Best.FeatureIndex = F;
-        Best.Categorical = false;
-        Best.Threshold = Threshold;
-      }
-    }
+    return Best;
   }
-  return Best;
-}
 
-} // namespace
-
-std::unique_ptr<ClassificationTree::Node>
-ClassificationTree::buildNode(const Dataset &D,
-                              const std::vector<size_t> &Rows,
-                              const TreeParams &Params, int Depth) {
-  auto N = std::make_unique<Node>();
-  N->Label = majorityLabel(D, Rows);
-
-  if (Depth >= Params.MaxDepth || Rows.size() < Params.MinSamplesSplit)
-    return N;
-  SplitChoice Split = chooseSplit(D, Rows);
-  if (Split.Gain <= Params.MinGain)
-    return N;
-
-  std::vector<size_t> Left, Right;
-  for (size_t R : Rows) {
-    double V = D.example(R).Values[Split.FeatureIndex];
-    bool GoLeft = Split.Categorical ? V == Split.CategoryId
+  /// Applies \p Split to the node [Begin, End): stable-partitions every
+  /// feature's segment, left rows first.  Returns the boundary.
+  size_t partition(const SplitChoice &Split, size_t Begin, size_t End) {
+    const double *Col = S.column(Split.FeatureIndex);
+    const size_t *Rows = Work.data() + Split.FeatureIndex * NumTrain;
+    size_t NumLeft = 0;
+    for (size_t I = Begin; I != End; ++I) {
+      double V = Col[Rows[I]];
+      bool Left = Split.Categorical ? V == Split.CategoryId
                                     : V < Split.Threshold;
-    (GoLeft ? Left : Right).push_back(R);
+      GoesLeft[Rows[I]] = Left;
+      NumLeft += Left;
+    }
+    assert(NumLeft != 0 && NumLeft != End - Begin &&
+           "degenerate split chosen");
+    for (size_t F = 0; F != S.numFeatures(); ++F) {
+      size_t *Seg = Work.data() + F * NumTrain;
+      size_t Out = Begin, Spilled = 0;
+      for (size_t I = Begin; I != End; ++I) {
+        size_t R = Seg[I];
+        if (GoesLeft[R])
+          Seg[Out++] = R;
+        else
+          RightRows[Spilled++] = R;
+      }
+      std::copy(RightRows.data(), RightRows.data() + Spilled, Seg + Out);
+    }
+    return Begin + NumLeft;
   }
-  assert(!Left.empty() && !Right.empty() && "degenerate split chosen");
 
-  N->IsLeaf = false;
-  N->FeatureIndex = Split.FeatureIndex;
-  N->Categorical = Split.Categorical;
-  N->Threshold = Split.Threshold;
-  N->CategoryId = Split.CategoryId;
-  N->Left = buildNode(D, Left, Params, Depth + 1);
-  N->Right = buildNode(D, Right, Params, Depth + 1);
-  return N;
+  std::unique_ptr<Node> buildNode(size_t Begin, size_t End,
+                                  const std::vector<size_t> &Counts,
+                                  int Depth) {
+    auto N = std::make_unique<Node>();
+    N->Label = majorityLabel(Counts);
+
+    if (Depth >= Params.MaxDepth || End - Begin < Params.MinSamplesSplit)
+      return N;
+    SplitChoice Split = chooseSplit(Begin, End, Counts);
+    if (Split.Gain <= Params.MinGain)
+      return N;
+
+    size_t Mid = partition(Split, Begin, End);
+    N->IsLeaf = false;
+    N->FeatureIndex = Split.FeatureIndex;
+    N->Categorical = Split.Categorical;
+    N->Threshold = Split.Threshold;
+    N->CategoryId = Split.CategoryId;
+    N->Left = buildNode(Begin, Mid, countLabels(Begin, Mid), Depth + 1);
+    N->Right = buildNode(Mid, End, countLabels(Mid, End), Depth + 1);
+    return N;
+  }
+};
+
+ClassificationTree
+ClassificationTree::build(const SortedColumns &S,
+                          const std::vector<int> &Labels,
+                          const TreeParams &Params,
+                          const std::vector<char> *TrainRows) {
+  // Nests under whatever offline frame invoked the training (ml/rebuild,
+  // ml/crossval); the caller charges the modeled cost.
+  PROF_SCOPE("tree/build");
+  Builder B(S, Labels, Params, TrainRows);
+  ClassificationTree Tree;
+  Tree.Root = B.buildNode(0, B.NumTrain, B.RootCounts, 0);
+  return Tree;
 }
 
 ClassificationTree ClassificationTree::build(const Dataset &D,
                                              const TreeParams &Params) {
-  // Nests under whatever offline frame invoked the training (ml/rebuild,
-  // ml/crossval); the caller charges the modeled cost.
-  PROF_SCOPE("tree/build");
-  ClassificationTree Tree;
-  std::vector<size_t> All(D.numExamples());
-  for (size_t I = 0; I != All.size(); ++I)
-    All[I] = I;
-  Tree.Root = buildNode(D, All, Params, 0);
-  return Tree;
+  return build(SortedColumns(D), D.labelColumn(), Params);
 }
 
 int ClassificationTree::predict(const Example &E, TreePath *Path) const {

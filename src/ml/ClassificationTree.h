@@ -27,6 +27,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <span>
 #include <string_view>
 
 namespace evm {
@@ -39,8 +40,9 @@ struct TreeParams {
   double MinGain = 1e-9;
 };
 
-/// Shannon entropy (bits) of the label distribution of \p Rows over \p D.
-double labelEntropy(const Dataset &D, const std::vector<size_t> &Rows);
+/// Shannon entropy (bits) of a label distribution given as per-label
+/// counts; terms are summed in the order given, zero counts skipped.
+double labelEntropy(std::span<const size_t> Counts);
 
 /// One split decision along a root-to-leaf walk.
 struct TreePathStep {
@@ -67,8 +69,19 @@ struct TreePath {
 /// A trained classification tree.
 class ClassificationTree {
 public:
-  /// Builds a tree over the whole dataset.  An empty dataset yields a
-  /// degenerate tree predicting label 0.
+  /// Builds a tree over the rows of \p S whose \p TrainRows entry is
+  /// nonzero (every row when null), labelled by \p Labels (one per row of
+  /// \p S).  Each node takes the split with the largest entropy gain: a
+  /// presorted sweep visits features in column order and each feature's
+  /// thresholds or categories in ascending value order, and only a
+  /// strictly greater gain replaces the best so far.  No training rows
+  /// yield a degenerate tree predicting label 0.
+  static ClassificationTree build(const SortedColumns &S,
+                                  const std::vector<int> &Labels,
+                                  const TreeParams &Params = TreeParams(),
+                                  const std::vector<char> *TrainRows = nullptr);
+
+  /// Builds a tree over the whole dataset, labelled by its examples.
   static ClassificationTree build(const Dataset &D,
                                   const TreeParams &Params = TreeParams());
 
@@ -109,10 +122,8 @@ private:
     std::unique_ptr<Node> Left, Right;
   };
 
-  static std::unique_ptr<Node> buildNode(const Dataset &D,
-                                         const std::vector<size_t> &Rows,
-                                         const TreeParams &Params,
-                                         int Depth);
+  struct Builder; ///< one tree's induction state (ClassificationTree.cpp)
+
   static void serializeNode(const Node *N, std::string &Out);
   static std::unique_ptr<Node> parseNode(std::string_view Text, size_t &Pos,
                                          int Depth);

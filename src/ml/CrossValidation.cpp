@@ -8,9 +8,10 @@
 using namespace evm;
 using namespace evm::ml;
 
-double ml::kFoldAccuracy(const Dataset &D, int K, Rng &Rng,
+double ml::kFoldAccuracy(const SortedColumns &S,
+                         const std::vector<int> &Labels, int K, Rng &Rng,
                          const TreeParams &Params) {
-  size_t N = D.numExamples();
+  size_t N = S.numRows();
   if (N < 2)
     return 0;
   K = std::max(2, std::min<int>(K, static_cast<int>(N)));
@@ -20,27 +21,36 @@ double ml::kFoldAccuracy(const Dataset &D, int K, Rng &Rng,
     Order[I] = I;
   Rng.shuffle(Order);
 
+  std::vector<char> Train(N);
+  Example E;
+  E.Values.resize(S.numFeatures());
   size_t Correct = 0, Tested = 0;
   for (int Fold = 0; Fold != K; ++Fold) {
-    std::vector<size_t> Train, Test;
+    size_t NumTest = 0;
     for (size_t I = 0; I != N; ++I) {
-      if (static_cast<int>(I % static_cast<size_t>(K)) == Fold)
-        Test.push_back(Order[I]);
-      else
-        Train.push_back(Order[I]);
+      bool Test = static_cast<int>(I % static_cast<size_t>(K)) == Fold;
+      Train[Order[I]] = !Test;
+      NumTest += Test;
     }
-    if (Test.empty() || Train.empty())
+    if (NumTest == 0 || NumTest == N)
       continue;
-    Dataset TrainSet = D.subset(Train);
-    ClassificationTree Tree = ClassificationTree::build(TrainSet, Params);
-    for (size_t R : Test) {
-      Example E = D.example(R);
-      E.Values.resize(D.numFeatures(), 0);
-      if (Tree.predict(E) == D.example(R).Label)
+    ClassificationTree Tree =
+        ClassificationTree::build(S, Labels, Params, &Train);
+    for (size_t R = 0; R != N; ++R) {
+      if (Train[R])
+        continue;
+      for (size_t F = 0; F != S.numFeatures(); ++F)
+        E.Values[F] = S.column(F)[R];
+      if (Tree.predict(E) == Labels[R])
         ++Correct;
       ++Tested;
     }
   }
   assert(Tested > 0 && "no folds evaluated");
   return static_cast<double>(Correct) / static_cast<double>(Tested);
+}
+
+double ml::kFoldAccuracy(const Dataset &D, int K, Rng &Rng,
+                         const TreeParams &Params) {
+  return kFoldAccuracy(SortedColumns(D), D.labelColumn(), K, Rng, Params);
 }

@@ -20,9 +20,15 @@
 namespace evm {
 namespace ml {
 
-/// K-fold cross-validated accuracy in [0, 1].  Rows are shuffled with
-/// \p Rng before folding; datasets smaller than \p K fall back to
-/// leave-one-out.  Returns 0 for datasets with fewer than 2 examples.
+/// K-fold cross-validated accuracy in [0, 1] of trees over the rows of
+/// \p S labelled by \p Labels.  Rows are shuffled with \p Rng before
+/// folding; tables smaller than \p K fall back to leave-one-out.  Every
+/// fold trains on a row mask of the one table.  Returns 0 for fewer than
+/// 2 rows.
+double kFoldAccuracy(const SortedColumns &S, const std::vector<int> &Labels,
+                     int K, Rng &Rng, const TreeParams &Params = TreeParams());
+
+/// The same over a whole dataset, labelled by its examples.
 double kFoldAccuracy(const Dataset &D, int K, Rng &Rng,
                      const TreeParams &Params = TreeParams());
 

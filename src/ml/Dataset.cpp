@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 
 using namespace evm;
 using namespace evm::ml;
@@ -65,25 +66,27 @@ Example Dataset::encode(const FeatureVector &FV) const {
   return Row;
 }
 
-std::vector<int> Dataset::labels() const {
-  std::vector<int> Out;
-  for (const Example &E : Examples)
-    if (std::find(Out.begin(), Out.end(), E.Label) == Out.end())
-      Out.push_back(E.Label);
-  std::sort(Out.begin(), Out.end());
+std::vector<int> Dataset::labelColumn() const {
+  std::vector<int> Out(Examples.size());
+  for (size_t R = 0; R != Out.size(); ++R)
+    Out[R] = Examples[R].Label;
   return Out;
 }
 
-Dataset Dataset::subset(const std::vector<size_t> &Rows) const {
-  Dataset Out;
-  Out.Schema = Schema;
-  Out.ColumnIndex = ColumnIndex;
-  Out.Examples.reserve(Rows.size());
-  for (size_t R : Rows) {
-    assert(R < Examples.size() && "row index out of range");
-    Example E = Examples[R];
-    E.Values.resize(Schema.size(), 0);
-    Out.Examples.push_back(std::move(E));
+SortedColumns::SortedColumns(const Dataset &D)
+    : NumRows(D.numExamples()), Categorical(D.numFeatures()),
+      Values(D.numFeatures() * D.numExamples()),
+      Order(D.numFeatures() * D.numExamples()) {
+  for (size_t F = 0; F != numFeatures(); ++F) {
+    Categorical[F] = D.schema()[F].Categorical;
+    double *Col = Values.data() + F * NumRows;
+    size_t *Rows = Order.data() + F * NumRows;
+    for (size_t R = 0; R != NumRows; ++R) {
+      Col[R] = D.example(R).Values[F];
+      assert(!std::isnan(Col[R]) && "NaN feature value");
+      Rows[R] = R;
+    }
+    std::stable_sort(Rows, Rows + NumRows,
+                     [Col](size_t A, size_t B) { return Col[A] < Col[B]; });
   }
-  return Out;
 }

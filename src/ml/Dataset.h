@@ -52,21 +52,14 @@ public:
   /// names are ignored; missing features read 0.
   Example encode(const xicl::FeatureVector &FV) const;
 
-  /// Rewrites the label of row \p I (the evolvable VM shares one encoded
-  /// feature table across its per-method models and relabels copies).
-  void setLabel(size_t I, int Label) { Examples[I].Label = Label; }
-
   size_t numExamples() const { return Examples.size(); }
   size_t numFeatures() const { return Schema.size(); }
   const std::vector<FeatureDef> &schema() const { return Schema; }
   const Example &example(size_t I) const { return Examples[I]; }
   const std::vector<Example> &examples() const { return Examples; }
 
-  /// Distinct labels present, sorted ascending.
-  std::vector<int> labels() const;
-
-  /// Dataset restricted to the given row indices (for cross-validation).
-  Dataset subset(const std::vector<size_t> &Rows) const;
+  /// Every example's label, by row.
+  std::vector<int> labelColumn() const;
 
 private:
   int columnFor(const xicl::Feature &F);
@@ -74,6 +67,35 @@ private:
   std::vector<FeatureDef> Schema;
   std::map<std::string, size_t> ColumnIndex;
   std::vector<Example> Examples;
+};
+
+/// The presorted feature table of tree induction (the SLIQ/C4.5 presorted
+/// sweep): a dataset's values column-major, plus for each column the row
+/// ids stable-sorted by value.  One table serves every tree trained over
+/// the same feature rows — each method's model and every cross-validation
+/// fold — so a rebuild sorts each column once.  Values must not be NaN
+/// (the sort needs a strict weak order); features are finite by
+/// construction, and infinities still sort.
+class SortedColumns {
+public:
+  explicit SortedColumns(const Dataset &D);
+
+  size_t numRows() const { return NumRows; }
+  size_t numFeatures() const { return Categorical.size(); }
+  bool categorical(size_t F) const { return Categorical[F] != 0; }
+
+  /// Column \p F's values, indexed by row id.
+  const double *column(size_t F) const { return Values.data() + F * NumRows; }
+
+  /// Column \p F's row ids in ascending value order (equal values keep row
+  /// order).
+  const size_t *order(size_t F) const { return Order.data() + F * NumRows; }
+
+private:
+  size_t NumRows = 0;
+  std::vector<char> Categorical;
+  std::vector<double> Values;
+  std::vector<size_t> Order;
 };
 
 } // namespace ml

@@ -60,8 +60,9 @@ struct FeatureVector {
   /// Appends \p F (translator and runtime channel both add through here).
   void append(Feature F) { Features.push_back(std::move(F)); }
 
-  /// Replaces the feature named \p Name, or appends it when absent.  This
-  /// is the XICLFeatureVector.updateV mechanism (paper Fig. 5).
+  /// Replaces the feature named \p Name, or appends it when absent; a
+  /// numeric value that is not finite reads 0.  This is the
+  /// XICLFeatureVector.updateV mechanism (paper Fig. 5).
   void updateV(const std::string &Name, Feature F);
 
   /// Index of the feature named \p Name, or -1.

@@ -8,6 +8,7 @@
 
 #include <cassert>
 #include <cctype>
+#include <cmath>
 #include <map>
 
 using namespace evm;
@@ -20,8 +21,22 @@ int FeatureVector::indexOf(const std::string &Name) const {
   return -1;
 }
 
+namespace {
+
+/// Non-finite numbers (an "inf" or "nan" argument, a range sum that
+/// overflowed) read 0, like an unparsable value: features stay finite, so
+/// the knowledge store can write them as JSON and tree induction can sort
+/// them.
+void keepFinite(Feature &F) {
+  if (F.isNumeric() && !std::isfinite(F.Num))
+    F.Num = 0;
+}
+
+} // namespace
+
 void FeatureVector::updateV(const std::string &Name, Feature F) {
   F.Name = Name;
+  keepFinite(F);
   int Index = indexOf(Name);
   if (Index < 0)
     Features.push_back(std::move(F));
@@ -205,6 +220,8 @@ ErrorOr<FeatureVector> XICLTranslator::buildFVector(
     }
   }
 
+  for (Feature &F : FV.Features)
+    keepFinite(F);
   return FV;
 }
 

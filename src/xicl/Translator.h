@@ -57,7 +57,8 @@ public:
 
   /// The paper's buildFVector: parses \p CommandLine (program name first)
   /// and extracts every declared feature.  Fails on unknown options,
-  /// missing arguments, or unresolvable attr names.
+  /// missing arguments, or unresolvable attr names.  A numeric feature that
+  /// is not finite (an "inf" argument, an overflowing range sum) reads 0.
   ErrorOr<FeatureVector> buildFVector(std::string_view CommandLine);
 
   /// Names of every feature the schema produces, in order (used by the

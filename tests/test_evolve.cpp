@@ -5,12 +5,18 @@
 #include "evolve/ModelBuilder.h"
 #include "evolve/Repository.h"
 #include "evolve/Strategy.h"
+#include "ml/CrossValidation.h"
 
+#include "ReferenceTree.h"
 #include "TestHelpers.h"
 
 #include "support/Rng.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
+#include <string>
 
 using namespace evm;
 using namespace evm::evolve;
@@ -182,6 +188,83 @@ TEST(ModelBuilderTest, PredictionStatsMeterWork) {
   EXPECT_EQ(Stats.Trees, 1u);
   EXPECT_GT(Stats.TreeNodesVisited, 0u);
   EXPECT_GT(Stats.toCycles(), 0u);
+}
+
+TEST(ModelBuilderTest, RebuildAndCrossValidationMatchReference) {
+  // 240 runs over five methods: one constant, one tied to a numeric size
+  // (with label noise), one to a categorical mode, one to adjacent
+  // doubles, and one to noise alone.  A feature that appears at run 100
+  // reads 0 in earlier rows.
+  const size_t NumMethods = 5;
+  ModelBuilder MB(NumMethods);
+  Rng R(20091017);
+  const char *Modes[] = {"fast", "slow", "mixed"};
+  const double Ratios[] = {1.0, std::nextafter(1.0, 2.0),
+                           std::nextafter(1.0, 0.0), 1.5};
+  const OptLevel Levels[] = {OptLevel::Baseline, OptLevel::O0, OptLevel::O1,
+                             OptLevel::O2};
+  for (int Run = 0; Run != 240; ++Run) {
+    double Size = static_cast<double>(R.nextInt(0, 30) * 10);
+    const char *Mode = Modes[R.nextInt(0, 2)];
+    double Ratio = Ratios[R.nextInt(0, 3)];
+    FeatureVector FV;
+    FV.append(Feature::numeric("size", Size));
+    FV.append(Feature::categorical("mode", Mode));
+    FV.append(Feature::numeric("ratio", Ratio));
+    if (Run >= 100)
+      FV.append(Feature::numeric("late", R.nextDouble(0, 1)));
+    MethodLevelStrategy Ideal;
+    Ideal.Levels = {
+        OptLevel::O0,
+        (Size >= 150) != R.nextBool(0.05) ? OptLevel::O2 : OptLevel::O0,
+        Mode[0] == 's' ? OptLevel::O1 : OptLevel::Baseline,
+        Ratio > 1.0 ? OptLevel::O2 : OptLevel::O1,
+        Levels[R.nextInt(0, 3)]};
+    MB.addRun(FV, Ideal);
+  }
+  MB.rebuild();
+
+  const ml::Dataset &D = MB.encodedRuns();
+  std::vector<ExportedMethodModel> Models = MB.exportModels();
+  ASSERT_EQ(Models.size(), NumMethods);
+  RebuildStats Want;
+  ml::SortedColumns Table(D);
+  Rng Got(7), Ref(7), Cv(7);
+  double RefSum = 0;
+  for (size_t M = 0; M != NumMethods; ++M) {
+    SCOPED_TRACE("method " + std::to_string(M));
+    std::vector<int> Column;
+    for (const std::vector<int> &Row : MB.labelRows())
+      Column.push_back(Row[M]);
+    Want.ExamplesScanned += Column.size();
+    if (std::count(Column.begin(), Column.end(), Column[0]) ==
+        static_cast<long>(Column.size())) {
+      EXPECT_TRUE(Models[M].Constant);
+      EXPECT_EQ(Models[M].ConstantLabel, Column[0]);
+      RefSum += 1.0;
+      continue;
+    }
+    auto Tree = reftree::build(D, Column, reftree::allRows(D),
+                               ml::TreeParams());
+    EXPECT_FALSE(Models[M].Constant);
+    EXPECT_EQ(Models[M].Tree, reftree::serialize(Tree.get()));
+    ++Want.TreesBuilt;
+    Want.NodesBuilt += reftree::numNodes(Tree.get());
+
+    double RefCv = reftree::kFoldAccuracy(D, Column, 5, Ref);
+    EXPECT_EQ(ml::kFoldAccuracy(Table, Column, 5, Got), RefCv);
+    RefSum += RefCv;
+  }
+  EXPECT_EQ(Want.TreesBuilt, 4u);
+  EXPECT_EQ(MB.lastRebuildStats().TreesBuilt, Want.TreesBuilt);
+  EXPECT_EQ(MB.lastRebuildStats().NodesBuilt, Want.NodesBuilt);
+  EXPECT_EQ(MB.lastRebuildStats().ExamplesScanned, Want.ExamplesScanned);
+
+  EXPECT_EQ(MB.crossValidatedAccuracy(5, Cv),
+            RefSum / static_cast<double>(NumMethods));
+  uint64_t RefNext = Ref.next();
+  EXPECT_EQ(Got.next(), RefNext);
+  EXPECT_EQ(Cv.next(), RefNext);
 }
 
 //===----------------------------------------------------------------------===//

@@ -5,10 +5,13 @@
 #include "ml/CrossValidation.h"
 #include "ml/Dataset.h"
 
+#include "ReferenceTree.h"
+
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
+#include <string>
 
 using namespace evm;
 using namespace evm::ml;
@@ -88,48 +91,26 @@ TEST(DatasetTest, EncodeIgnoresUnknownNames) {
   EXPECT_DOUBLE_EQ(E.Values[0], 0);
 }
 
-TEST(DatasetTest, LabelsSortedDistinct) {
-  Dataset D;
-  D.addExample(fv2(1, 1), 3);
-  D.addExample(fv2(2, 2), 1);
-  D.addExample(fv2(3, 3), 3);
-  auto L = D.labels();
-  ASSERT_EQ(L.size(), 2u);
-  EXPECT_EQ(L[0], 1);
-  EXPECT_EQ(L[1], 3);
-}
-
-TEST(DatasetTest, SubsetSelectsRows) {
-  Dataset D = fig6Dataset();
-  Dataset S = D.subset({0, 2, 4});
-  EXPECT_EQ(S.numExamples(), 3u);
-  EXPECT_EQ(S.numFeatures(), D.numFeatures());
-  EXPECT_DOUBLE_EQ(S.example(1).Values[0], D.example(2).Values[0]);
-}
-
-TEST(DatasetTest, SetLabelRewrites) {
-  Dataset D;
-  D.addExample(fv2(1, 1), 0);
-  D.setLabel(0, 7);
-  EXPECT_EQ(D.example(0).Label, 7);
-}
-
 //===----------------------------------------------------------------------===//
 // Entropy
 //===----------------------------------------------------------------------===//
 
 TEST(EntropyTest, PureIsZero) {
-  Dataset D;
-  D.addExample(fv2(1, 1), 1);
-  D.addExample(fv2(2, 2), 1);
-  EXPECT_DOUBLE_EQ(labelEntropy(D, {0, 1}), 0.0);
+  const size_t Counts[] = {2};
+  EXPECT_DOUBLE_EQ(labelEntropy(Counts), 0.0);
 }
 
 TEST(EntropyTest, EvenSplitIsOneBit) {
-  Dataset D;
-  D.addExample(fv2(1, 1), 1);
-  D.addExample(fv2(2, 2), 2);
-  EXPECT_DOUBLE_EQ(labelEntropy(D, {0, 1}), 1.0);
+  const size_t Counts[] = {1, 1};
+  EXPECT_DOUBLE_EQ(labelEntropy(Counts), 1.0);
+}
+
+TEST(EntropyTest, ZeroCountsAndEmptyContributeNothing) {
+  const size_t Sparse[] = {0, 3, 0, 3, 0};
+  EXPECT_DOUBLE_EQ(labelEntropy(Sparse), 1.0);
+  const size_t Empty[] = {0, 0};
+  EXPECT_DOUBLE_EQ(labelEntropy(Empty), 0.0);
+  EXPECT_DOUBLE_EQ(labelEntropy({}), 0.0);
 }
 
 //===----------------------------------------------------------------------===//
@@ -308,6 +289,201 @@ TEST(CrossValidationTest, TinyDatasetsHandled) {
   EXPECT_DOUBLE_EQ(kFoldAccuracy(D2, 5, R), 0.0);
   D2.addExample(fv2(2, 2), 1);
   EXPECT_GE(kFoldAccuracy(D2, 5, R), 0.0);
+}
+
+//===----------------------------------------------------------------------===//
+// Presorted sweep == the row-copying reference builder
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// A numeric value from one of the pools the sweep's exactness rules are
+/// about: duplicates (gain ties), adjacent doubles, signed zeros and
+/// subnormals, magnitudes whose midpoints overflow, and plain values.
+double edgeValue(Rng &R, int64_t Pool) {
+  const double Inf = std::numeric_limits<double>::infinity();
+  const double Max = std::numeric_limits<double>::max();
+  const double Tiny = std::numeric_limits<double>::denorm_min();
+  const double Min = std::numeric_limits<double>::min();
+  switch (Pool) {
+  case 0:
+    return static_cast<double>(R.nextInt(0, 3));
+  case 1: {
+    double X = static_cast<double>(R.nextInt(1, 2));
+    for (int64_t Steps = R.nextInt(-2, 2); Steps != 0;
+         Steps += Steps > 0 ? -1 : 1)
+      X = std::nextafter(X, Steps > 0 ? Inf : -Inf);
+    return X;
+  }
+  case 2: {
+    const double Small[] = {0.0, -0.0, Tiny, -Tiny, 2 * Tiny, 3 * Tiny,
+                            Min, -Min};
+    return Small[R.nextInt(0, 7)];
+  }
+  case 3: {
+    const double Big[] = {Max,    -Max,     std::nextafter(Max, 0.0),
+                          1e308,  1.5e308,  -1.7e308,
+                          Inf,    -Inf,     0.0};
+    return Big[R.nextInt(0, 8)];
+  }
+  default:
+    return std::round(R.nextDouble(-20, 20) * 4) / 4;
+  }
+}
+
+struct RandomCase {
+  Dataset D;
+  TreeParams Params;
+};
+
+/// A seeded random dataset: 0-40 rows, 0-5 features (a third categorical,
+/// each numeric one drawing from one or two value pools), features that
+/// appear late or go missing (rows read 0), and 1-4 labels from [-3, 9],
+/// half the time tied to a feature so trees grow deep.
+RandomCase randomCase(uint64_t Seed) {
+  Rng R(Seed);
+  RandomCase C;
+  C.Params.MaxDepth = static_cast<int>(R.nextInt(0, 12));
+  C.Params.MinSamplesSplit = static_cast<size_t>(R.nextInt(0, 6));
+  size_t NumRows = static_cast<size_t>(R.nextInt(0, 40));
+  size_t NumFeatures = static_cast<size_t>(R.nextInt(0, 5));
+  std::vector<bool> Categorical(NumFeatures);
+  std::vector<int64_t> PoolA(NumFeatures), PoolB(NumFeatures);
+  for (size_t F = 0; F != NumFeatures; ++F) {
+    Categorical[F] = R.nextBool(0.33);
+    PoolA[F] = R.nextInt(0, 4);
+    PoolB[F] = R.nextBool(0.5) ? PoolA[F] : R.nextInt(0, 4);
+  }
+  std::vector<int> LabelSet(static_cast<size_t>(R.nextInt(1, 4)));
+  for (int &L : LabelSet)
+    L = static_cast<int>(R.nextInt(-3, 9));
+  bool Learnable = R.nextBool(0.5);
+  for (size_t Row = 0; Row != NumRows; ++Row) {
+    FeatureVector FV;
+    double First = 0;
+    for (size_t F = 0; F != NumFeatures; ++F) {
+      std::string Name = "f" + std::to_string(F);
+      bool Present = !R.nextBool(0.05);
+      if (Categorical[F]) {
+        int64_t Cat = R.nextInt(0, 3);
+        if (Present)
+          FV.append(Feature::categorical(Name, "c" + std::to_string(Cat)));
+        if (F == 0)
+          First = static_cast<double>(Cat);
+      } else {
+        double V = edgeValue(R, R.nextBool(0.5) ? PoolA[F] : PoolB[F]);
+        if (Present)
+          FV.append(Feature::numeric(Name, V));
+        if (F == 0)
+          First = V;
+      }
+    }
+    size_t Pick = static_cast<size_t>(R.nextInt(
+        0, static_cast<int64_t>(LabelSet.size()) - 1));
+    if (Learnable && !R.nextBool(0.1))
+      Pick = First < 1 ? 0 : LabelSet.size() - 1;
+    C.D.addExample(FV, LabelSet[Pick]);
+  }
+  return C;
+}
+
+/// Checks the production builder and k-fold score against the reference
+/// on \p D, including the Rng state each leaves behind.
+void expectMatchesReference(const Dataset &D, const TreeParams &Params,
+                            int Folds, uint64_t CvSeed) {
+  std::vector<int> Labels = D.labelColumn();
+  EXPECT_EQ(ClassificationTree::build(D, Params).serialize(),
+            reftree::buildText(D, Labels, Params));
+  Rng Got(CvSeed), Want(CvSeed);
+  EXPECT_EQ(kFoldAccuracy(D, Folds, Got, Params),
+            reftree::kFoldAccuracy(D, Labels, Folds, Want, Params));
+  EXPECT_EQ(Got.next(), Want.next()) << "Rng state diverged";
+}
+
+} // namespace
+
+TEST(SortedSweepTest, RandomDatasetsMatchReference) {
+  for (uint64_t Seed = 1; Seed <= 2000; ++Seed) {
+    SCOPED_TRACE("seed " + std::to_string(Seed));
+    RandomCase C = randomCase(Seed);
+    expectMatchesReference(C.D, C.Params, static_cast<int>(Seed % 9) + 2,
+                           Seed * 7919);
+    if (::testing::Test::HasFailure())
+      break; // one seed's report is enough
+  }
+}
+
+TEST(SortedSweepTest, EmptyDatasetIsLabelZeroLeaf) {
+  Dataset D;
+  for (size_t MinSplit : {0, 2}) {
+    TreeParams P;
+    P.MinSamplesSplit = MinSplit;
+    EXPECT_EQ(ClassificationTree::build(D, P).serialize(), "L0");
+    expectMatchesReference(D, P, 5, 1);
+  }
+}
+
+TEST(SortedSweepTest, OneRowIsItsLabel) {
+  Dataset D;
+  D.addExample(fv2(3, 4), -2);
+  TreeParams P;
+  P.MinSamplesSplit = 0;
+  EXPECT_EQ(ClassificationTree::build(D, P).serialize(), "L-2");
+  expectMatchesReference(D, P, 5, 1);
+}
+
+TEST(SortedSweepTest, MaxDepthZeroIsMajorityLeaf) {
+  Dataset D = fig6Dataset();
+  TreeParams P;
+  P.MaxDepth = 0;
+  EXPECT_EQ(ClassificationTree::build(D, P).serialize(), "L1");
+  expectMatchesReference(D, P, 5, 1);
+}
+
+TEST(SortedSweepTest, MinSamplesSplitZeroGrowsFullTree) {
+  Dataset D = fig6Dataset();
+  TreeParams P;
+  P.MinSamplesSplit = 0;
+  EXPECT_GT(ClassificationTree::build(D, P).numNodes(), 1u);
+  expectMatchesReference(D, P, 5, 1);
+}
+
+TEST(SortedSweepTest, AllConstantFeaturesGiveMajorityLeaf) {
+  // Mixed labels but nothing to split on: the tie goes to the smaller
+  // label.
+  Dataset D;
+  for (int I = 0; I != 6; ++I) {
+    FeatureVector FV = fv2(7, -0.0);
+    FV.append(Feature::categorical("fmt", "pdf"));
+    D.addExample(FV, I % 2 ? 4 : 9);
+  }
+  EXPECT_EQ(ClassificationTree::build(D).serialize(), "L4");
+  expectMatchesReference(D, TreeParams(), 3, 1);
+}
+
+TEST(SortedSweepTest, OneTableServesEveryMaskAndLabelColumn) {
+  // Trees over row masks and alternative label columns of one table equal
+  // trees over the corresponding standalone datasets.
+  Dataset D = fig6Dataset();
+  SortedColumns Table(D);
+  std::vector<int> Flipped = D.labelColumn();
+  for (int &L : Flipped)
+    L = 3 - L;
+  EXPECT_EQ(ClassificationTree::build(Table, Flipped).serialize(),
+            reftree::buildText(D, Flipped));
+
+  std::vector<char> Mask(D.numExamples());
+  std::vector<size_t> Rows;
+  for (size_t R = 0; R != Mask.size(); ++R)
+    if (R % 3 != 1) {
+      Mask[R] = 1;
+      Rows.push_back(R);
+    }
+  EXPECT_EQ(
+      ClassificationTree::build(Table, Flipped, TreeParams(), &Mask)
+          .serialize(),
+      reftree::serialize(
+          reftree::build(D, Flipped, Rows, TreeParams()).get()));
 }
 
 //===----------------------------------------------------------------------===//

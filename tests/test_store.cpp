@@ -371,3 +371,46 @@ TEST(WarmStartTest, CheckpointRoundTripsThroughWarmStart) {
   EXPECT_EQ(KS.serialize(), Disk);
   std::remove(Path.c_str());
 }
+
+TEST(WarmStartTest, NonFiniteInputsStillSaveALoadableStore) {
+  // An "inf" argument must not reach the store: a bare `inf` in the runs
+  // section is not JSON and an `inf` threshold fails the tree parser, so
+  // the next launch would drop those runs and retrain every tree.  With
+  // features finite by construction the store reloads whole and the trees
+  // import.
+  bc::Module M = test::assemble(test::programCorpus()[6].second);
+  xicl::XFMethodRegistry Registry;
+  xicl::FileStore Files;
+  evolve::EvolveConfig Config;
+  Config.MaxCyclesPerRun = 1ULL << 42;
+  const char *Spec = "operand {position=1; type=num; attr=val}\n";
+  evolve::EvolvableVM VM(M, Spec, &Registry, &Files, Config);
+  for (int Run = 0; Run != 8; ++Run) {
+    bool Big = Run % 2 == 0;
+    auto Rec = VM.runOnce(Big ? "micro inf" : "micro 40",
+                          {bc::Value::makeInt(Big ? 1200 : 40)});
+    ASSERT_TRUE(static_cast<bool>(Rec)) << Rec.getError().message();
+  }
+  store::KnowledgeStore Saved = VM.checkpoint(1);
+  bool AnyTree = false;
+  for (const StoredMethodModel &Model : Saved.Models)
+    AnyTree |= !Model.Constant;
+  ASSERT_TRUE(AnyTree) << "the inputs must train at least one tree";
+
+  std::string Path = tmpPath("nonfinite.store");
+  std::remove(Path.c_str());
+  ASSERT_TRUE(saveStoreFile(Path, Saved));
+  KnowledgeStore Back;
+  StoreReadStats Stats;
+  ASSERT_EQ(loadStoreFile(Path, Back, Stats), LoadStatus::Loaded);
+  std::remove(Path.c_str());
+  EXPECT_TRUE(Stats.clean());
+  EXPECT_EQ(Stats.RecordsDropped, 0u);
+  EXPECT_EQ(Back.Runs.size(), 8u);
+
+  evolve::EvolvableVM Next(M, Spec, &Registry, &Files, Config);
+  evolve::WarmStartResult W = Next.warmStart(Back, &Stats);
+  EXPECT_EQ(W.RunsRestored, 8u);
+  EXPECT_EQ(W.ModelsImported, Saved.Models.size());
+  EXPECT_FALSE(W.Retrained);
+}

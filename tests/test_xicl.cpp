@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 using namespace evm;
 using namespace evm::xicl;
 
@@ -374,6 +377,44 @@ TEST(XFMethodTest, ProgrammerDefinedOverride) {
   EXPECT_DOUBLE_EQ(Features[0].Num, 6);
 }
 
+TEST(TranslatorTest, NonFiniteNumbersReadZero) {
+  // strtod accepts "inf" and "nan", and a range operand's numeric sum can
+  // overflow.  Features must stay finite (the store writes them as JSON,
+  // tree induction sorts them), so each reads 0 like an unparsable value.
+  auto S = parseSpec(
+      "option {name=-n; type=num; attr=val; default=1; has_arg=y}\n"
+      "operand {position=1:$; type=num; attr=val}\n");
+  ASSERT_TRUE(static_cast<bool>(S));
+  XFMethodRegistry Registry;
+  XICLTranslator T(S.takeValue(), &Registry, nullptr);
+  auto Num = [](const FeatureVector &FV, const char *Name) {
+    int I = FV.indexOf(Name);
+    EXPECT_GE(I, 0) << Name;
+    return I < 0 ? -1.0 : FV[static_cast<size_t>(I)].Num;
+  };
+  for (const char *Bad : {"inf", "-inf", "nan", "-nan", "infinity"}) {
+    auto FV = T.buildFVector(std::string("app -n ") + Bad + " 5");
+    ASSERT_TRUE(static_cast<bool>(FV)) << Bad;
+    EXPECT_EQ(Num(*FV, "-n.val"), 0) << Bad;
+    EXPECT_EQ(Num(*FV, "operands1_$.val"), 5) << Bad;
+  }
+  // A leading '-' would make an operand an option, so operands only come
+  // unsigned.
+  for (const char *Bad : {"inf", "nan", "infinity"}) {
+    auto FV = T.buildFVector(std::string("app 5 ") + Bad);
+    ASSERT_TRUE(static_cast<bool>(FV)) << Bad;
+    EXPECT_EQ(Num(*FV, "operands1_$.val"), 0) << Bad; // 5 + non-finite
+  }
+  auto Overflow = T.buildFVector("app 1e308 1e308");
+  ASSERT_TRUE(static_cast<bool>(Overflow));
+  EXPECT_EQ(Num(*Overflow, "operands1_$.val"), 0);
+  EXPECT_EQ(Num(*Overflow, "operands1_$.count"), 2);
+  auto Finite = T.buildFVector("app -n 2.5 1e307 1e307");
+  ASSERT_TRUE(static_cast<bool>(Finite));
+  EXPECT_EQ(Num(*Finite, "-n.val"), 2.5);
+  EXPECT_EQ(Num(*Finite, "operands1_$.val"), 2e307);
+}
+
 //===----------------------------------------------------------------------===//
 // Runtime channel (updateV / done)
 //===----------------------------------------------------------------------===//
@@ -386,6 +427,18 @@ TEST(FeatureChannelTest, UpdateVReplacesOrAppends) {
   EXPECT_EQ(Channel.vector().size(), 1u);
   EXPECT_DOUBLE_EQ(Channel.vector()[0].Num, 2);
   EXPECT_EQ(Channel.numUpdates(), 2);
+}
+
+TEST(FeatureChannelTest, UpdateVKeepsNumbersFinite) {
+  FeatureChannel Channel;
+  Channel.updateV("mlen", Feature::numeric(
+                              "", std::numeric_limits<double>::infinity()));
+  EXPECT_EQ(Channel.vector()[0].Num, 0);
+  Channel.updateV("mlen", Feature::numeric(
+                              "", std::numeric_limits<double>::quiet_NaN()));
+  EXPECT_EQ(Channel.vector()[0].Num, 0);
+  Channel.updateV("mlen", Feature::numeric("", -3.5));
+  EXPECT_EQ(Channel.vector()[0].Num, -3.5);
 }
 
 TEST(FeatureChannelTest, DoneFiresCallbackWithSnapshot) {
