@@ -4,6 +4,7 @@
 
 #include "vm/Eval.h"
 
+#include <algorithm>
 #include <cassert>
 
 using namespace evm;
@@ -35,6 +36,21 @@ uint64_t irInstrCost(const jit::IRInstr &I) {
     return 1; // MovImm/Mov/Jump/CondJump/Ret
   }
 }
+
+/// Dispatch codes of the compiled-code executor.  Binary and Unary slots
+/// dispatch on their bc::Opcode; the other IR operations take the codes
+/// after it.
+enum SlotCode : uint8_t {
+  SlotMovImm = bc::NumOpcodes,
+  SlotMov,
+  SlotCall,
+  SlotNewArr,
+  SlotHLoad,
+  SlotHStore,
+  SlotJump,
+  SlotCondJump,
+  SlotRet,
+};
 
 /// Phase-frame names per optimizing level (stable string literals).
 const char *jitExecPhase(OptLevel L) {
@@ -76,6 +92,99 @@ void splitPassCycles(PhaseProfiler &P, const jit::CompiledFunction &Code,
 
 } // namespace
 
+/// One IR instruction, predecoded.  Operand fields are register indices
+/// unless noted.
+struct ExecutionEngine::Slot {
+  uint64_t Cost; ///< CompiledDispatchCycles + irInstrCost, charged first
+  uint32_t Dest;
+  uint32_t A; ///< MovImm: index into Imms; Jump: target slot;
+              ///< Call: first index into ArgRegs
+  uint32_t B; ///< Call: argument count; CondJump: target when A is truthy
+  uint32_t C; ///< Call: callee; CondJump: target otherwise
+  uint8_t Code; ///< a bc::Opcode or a SlotCode
+};
+
+struct ExecutionEngine::LoweredCode {
+  OptLevel Level = OptLevel::O0;
+  uint32_t NumParams = 0;
+  uint32_t NumRegs = 0;
+  /// The widest call's argument count: arena room past the frame.
+  uint32_t MaxCallArgs = 0;
+  std::vector<Slot> Slots; ///< Slots[0] is the entry
+  std::vector<jit::Reg> ArgRegs; ///< every call's argument registers
+  std::vector<Value> Imms;       ///< MovImm constants
+};
+
+std::shared_ptr<const ExecutionEngine::LoweredCode>
+ExecutionEngine::lower(const jit::CompiledFunction &Code,
+                       const TimingModel &TM) {
+  const jit::IRFunction &F = Code.IR;
+  auto L = std::make_shared<LoweredCode>();
+  L->Level = Code.Level;
+  L->NumParams = F.NumParams;
+  L->NumRegs = F.NumRegs;
+  // Blocks are laid out in order, so a block starts at the slot count of
+  // the blocks before it.
+  std::vector<uint32_t> BlockStart;
+  uint32_t NumSlots = 0;
+  for (const jit::IRBlock &B : F.Blocks) {
+    BlockStart.push_back(NumSlots);
+    NumSlots += static_cast<uint32_t>(B.Instrs.size());
+  }
+  L->Slots.reserve(NumSlots);
+  for (const jit::IRBlock &B : F.Blocks) {
+    for (const jit::IRInstr &I : B.Instrs) {
+      Slot S{TM.CompiledDispatchCycles + irInstrCost(I), I.Dest, I.A, I.B, 0,
+             0};
+      switch (I.Op) {
+      case jit::IROp::Binary:
+      case jit::IROp::Unary:
+        S.Code = static_cast<uint8_t>(I.ScalarOp);
+        break;
+      case jit::IROp::MovImm:
+        S.Code = SlotMovImm;
+        S.A = static_cast<uint32_t>(L->Imms.size());
+        L->Imms.push_back(I.Imm);
+        break;
+      case jit::IROp::Mov:
+        S.Code = SlotMov;
+        break;
+      case jit::IROp::Call:
+        S.Code = SlotCall;
+        S.A = static_cast<uint32_t>(L->ArgRegs.size());
+        S.B = static_cast<uint32_t>(I.Args.size());
+        S.C = I.Callee;
+        L->ArgRegs.insert(L->ArgRegs.end(), I.Args.begin(), I.Args.end());
+        L->MaxCallArgs = std::max(L->MaxCallArgs, S.B);
+        break;
+      case jit::IROp::NewArr:
+        S.Code = SlotNewArr;
+        break;
+      case jit::IROp::HLoad:
+        S.Code = SlotHLoad;
+        break;
+      case jit::IROp::HStore:
+        S.Code = SlotHStore;
+        break;
+      case jit::IROp::Jump:
+        S.Code = SlotJump;
+        S.A = BlockStart[I.Target];
+        break;
+      case jit::IROp::CondJump:
+        S.Code = SlotCondJump;
+        S.B = BlockStart[I.Target];
+        S.C = BlockStart[I.Target2];
+        break;
+      case jit::IROp::Ret:
+        S.Code = SlotRet;
+        break;
+      }
+      L->Slots.push_back(S);
+    }
+  }
+  return L;
+}
+
 ExecutionEngine::ExecutionEngine(const bc::Module &M, const TimingModel &TM,
                                  CompilationPolicy *Policy)
     : M(M), TM(TM), Policy(Policy) {}
@@ -90,16 +199,14 @@ void ExecutionEngine::setCodeOverride(
   assert(Id < M.numFunctions() && "method id out of range");
   if (CodeOverrides.size() < M.numFunctions())
     CodeOverrides.resize(M.numFunctions());
-  CodeOverrides[Id] = std::move(Code);
+  CodeOverrides[Id] = Code ? lower(*Code, TM) : nullptr;
 }
 
-void ExecutionEngine::setTrap(TrapKind Kind, MethodId Method,
-                              size_t Location) {
+void ExecutionEngine::setTrap(TrapKind Kind, MethodId Method) {
   // First trap wins; later ones are consequences of unwinding.
   if (PendingTrap == TrapKind::None) {
     PendingTrap = Kind;
     TrapMethod = Method;
-    TrapLocation = Location;
   }
 }
 
@@ -108,8 +215,7 @@ void ExecutionEngine::charge(uint64_t N) {
   if (Prof)
     Prof->charge(N);
   if (Cycles > MaxCycles)
-    setTrap(TrapKind::FuelExhausted, CallStack.empty() ? 0 : CallStack.back(),
-            0);
+    setTrap(TrapKind::FuelExhausted, CallStack.empty() ? 0 : CallStack.back());
   if (!CallStack.empty()) {
     MethodState &State = Methods[CallStack.back()];
     State.Stats.CyclesByLevel[levelIndex(State.Level)] += N;
@@ -176,7 +282,7 @@ void ExecutionEngine::installLevel(MethodId Id, OptLevel L) {
       splitPassCycles(*Prof, *Code, Cost);
   }
   OptLevel OldLevel = State.Level;
-  State.Code = std::move(Code);
+  State.Code = lower(*Code, TM);
   State.Level = L;
   State.Stats.FinalLevel = L;
   ++State.Stats.NumCompiles;
@@ -240,11 +346,10 @@ void ExecutionEngine::chargeOverhead(uint64_t N) {
   charge(N);
 }
 
-std::optional<Value> ExecutionEngine::invoke(MethodId Id,
-                                             const std::vector<Value> &Args,
+std::optional<Value> ExecutionEngine::invoke(MethodId Id, const Value *Args,
                                              int Depth) {
   if (Depth > MaxCallDepth) {
-    setTrap(TrapKind::CallDepthExceeded, Id, 0);
+    setTrap(TrapKind::CallDepthExceeded, Id);
     return std::nullopt;
   }
   // One phase frame per guest method, named after it, so profiles read as
@@ -276,7 +381,7 @@ std::optional<Value> ExecutionEngine::invoke(MethodId Id,
   } else {
     // Hold a reference so a mid-execution recompilation cannot free the
     // code this frame is running.
-    std::shared_ptr<const jit::CompiledFunction> Code = State.Code;
+    std::shared_ptr<const LoweredCode> Code = State.Code;
     Result = executeCompiled(Id, *Code, Args, Depth);
   }
 
@@ -284,17 +389,15 @@ std::optional<Value> ExecutionEngine::invoke(MethodId Id,
   return Result;
 }
 
-std::optional<Value>
-ExecutionEngine::interpret(MethodId Id, const std::vector<Value> &Args,
-                           int Depth) {
+std::optional<Value> ExecutionEngine::interpret(MethodId Id,
+                                                const Value *Args,
+                                                int Depth) {
   const bc::Function &F = M.function(Id);
-  assert(Args.size() == F.NumParams && "arity mismatch");
 
   PROF_SCOPE("interp");
   charge(TM.InterpCallOverhead);
   std::vector<Value> Locals(F.NumLocals, Value::makeInt(0));
-  for (size_t K = 0; K != Args.size(); ++K)
-    Locals[K] = Args[K];
+  std::copy(Args, Args + F.NumParams, Locals.begin());
   std::vector<Value> Stack;
   Stack.reserve(16);
 
@@ -352,11 +455,11 @@ ExecutionEngine::interpret(MethodId Id, const std::vector<Value> &Args,
     case Opcode::Call: {
       MethodId Callee = static_cast<MethodId>(I.Operand);
       uint32_t Arity = M.function(Callee).NumParams;
-      std::vector<Value> CallArgs(Stack.end() - Arity, Stack.end());
-      Stack.resize(Stack.size() - Arity);
-      std::optional<Value> R = invoke(Callee, CallArgs, Depth + 1);
+      std::optional<Value> R =
+          invoke(Callee, Stack.data() + Stack.size() - Arity, Depth + 1);
       if (!R)
         return std::nullopt;
+      Stack.resize(Stack.size() - Arity);
       Stack.push_back(*R);
       ++Pc;
       break;
@@ -367,13 +470,11 @@ ExecutionEngine::interpret(MethodId Id, const std::vector<Value> &Args,
     }
     case Opcode::NewArr: {
       TrapKind Trap = TrapKind::None;
-      int64_t Count = Stack.back().isInt()
-                          ? Stack.back().asInt()
-                          : static_cast<int64_t>(Stack.back().toDouble());
+      int64_t Count = toInt64(Stack.back());
       Stack.pop_back();
       auto Base = TheHeap.alloc(Count, Trap);
       if (!Base) {
-        setTrap(Trap, Id, Pc);
+        setTrap(Trap, Id);
         return std::nullopt;
       }
       Stack.push_back(Value::makeInt(*Base));
@@ -382,13 +483,11 @@ ExecutionEngine::interpret(MethodId Id, const std::vector<Value> &Args,
     }
     case Opcode::HLoad: {
       TrapKind Trap = TrapKind::None;
-      int64_t Addr = Stack.back().isInt()
-                         ? Stack.back().asInt()
-                         : static_cast<int64_t>(Stack.back().toDouble());
+      int64_t Addr = toInt64(Stack.back());
       Stack.pop_back();
       auto Loaded = TheHeap.load(Addr, Trap);
       if (!Loaded) {
-        setTrap(Trap, Id, Pc);
+        setTrap(Trap, Id);
         return std::nullopt;
       }
       Stack.push_back(*Loaded);
@@ -399,12 +498,10 @@ ExecutionEngine::interpret(MethodId Id, const std::vector<Value> &Args,
       TrapKind Trap = TrapKind::None;
       Value V = Stack.back();
       Stack.pop_back();
-      int64_t Addr = Stack.back().isInt()
-                         ? Stack.back().asInt()
-                         : static_cast<int64_t>(Stack.back().toDouble());
+      int64_t Addr = toInt64(Stack.back());
       Stack.pop_back();
       if (!TheHeap.store(Addr, V, Trap)) {
-        setTrap(Trap, Id, Pc);
+        setTrap(Trap, Id);
         return std::nullopt;
       }
       ++Pc;
@@ -422,7 +519,7 @@ ExecutionEngine::interpret(MethodId Id, const std::vector<Value> &Args,
         Stack.pop_back();
         auto R = evalBinary(I.Op, A, B, Trap);
         if (!R) {
-          setTrap(Trap, Id, Pc);
+          setTrap(Trap, Id);
           return std::nullopt;
         }
         Stack.push_back(*R);
@@ -432,7 +529,7 @@ ExecutionEngine::interpret(MethodId Id, const std::vector<Value> &Args,
         Stack.pop_back();
         auto R = evalUnary(I.Op, A, Trap);
         if (!R) {
-          setTrap(Trap, Id, Pc);
+          setTrap(Trap, Id);
           return std::nullopt;
         }
         Stack.push_back(*R);
@@ -444,119 +541,156 @@ ExecutionEngine::interpret(MethodId Id, const std::vector<Value> &Args,
   }
 }
 
-std::optional<Value> ExecutionEngine::executeCompiled(
-    MethodId Id, const jit::CompiledFunction &Code,
-    const std::vector<Value> &Args, int Depth) {
-  const jit::IRFunction &F = Code.IR;
-  assert(Args.size() == F.NumParams && "arity mismatch");
-
+std::optional<Value> ExecutionEngine::executeCompiled(MethodId Id,
+                                                      const LoweredCode &Code,
+                                                      const Value *Args,
+                                                      int Depth) {
   ScopedPhase TierScope(jitExecPhase(Code.Level));
   charge(TM.CompiledCallOverhead);
-  std::vector<Value> Regs(F.NumRegs, Value::makeInt(0));
-  for (size_t K = 0; K != Args.size(); ++K)
-    Regs[K] = Args[K];
 
-  jit::BlockId Block = 0;
-  size_t K = 0;
+  // The frame is Arena[Base, Top); a compiled caller already wrote the
+  // arguments at Base.  Calls write theirs at Top.
+  const size_t Base = ArenaTop;
+  const size_t Top = Base + Code.NumRegs;
+  if (Arena.size() < Top + Code.MaxCallArgs) {
+    bool ArgsInArena = Args == Arena.data() + Base;
+    Arena.resize(Top + Code.MaxCallArgs);
+    if (ArgsInArena)
+      Args = Arena.data() + Base;
+  }
+  Value *R = Arena.data() + Base;
+  if (Args != R)
+    std::copy(Args, Args + Code.NumParams, R);
+  // IR may read a register before writing it.
+  std::fill(R + Code.NumParams, R + Code.NumRegs, Value::makeInt(0));
+  ArenaTop = Top;
+
+  // Fast charge.  While a slot's cost lands before the next sample tick and
+  // within the fuel budget, charge() would only add it to the clock, to the
+  // running level's CyclesByLevel and to the profiler's current node, this
+  // frame's jit:oN.  The fast path adds it to the local clock Now; Settle()
+  // bills the cycles since Mark to all three before anything can observe
+  // them or change where they belong: a slow charge, a call, or leaving the
+  // frame.  Both a slow charge and a callee can recompile this method or
+  // move the sample tick, so Resync() re-reads Limit after them.  Limit is
+  // 0 while a trap is pending: the next slot takes the slow path, which
+  // leaves the frame, so a trap set by a slot's charge still lets that slot
+  // run.
+  const uint64_t FuelEnd = MaxCycles == UINT64_MAX ? UINT64_MAX : MaxCycles + 1;
+  uint64_t Now = 0, Mark = 0, Limit = 0;
+  auto Resync = [&] {
+    Now = Mark = Cycles;
+    Limit = PendingTrap != TrapKind::None ? 0
+                                          : std::min(NextSampleAt, FuelEnd);
+  };
+  auto Settle = [&] {
+    Cycles = Now;
+    MethodState &State = Methods[Id];
+    State.Stats.CyclesByLevel[levelIndex(State.Level)] += Now - Mark;
+    if (Prof)
+      Prof->charge(Now - Mark);
+    Mark = Now;
+  };
+  auto Leave = [&](std::optional<Value> Result) {
+    Settle();
+    ArenaTop = Base;
+    return Result;
+  };
+  auto Trapped = [&](TrapKind Trap) {
+    setTrap(Trap, Id);
+    return Leave(std::nullopt);
+  };
+  Resync();
+
+  const Slot *const Slots = Code.Slots.data();
+  const Slot *S = Slots;
+  TrapKind Trap = TrapKind::None;
   while (true) {
-    if (PendingTrap != TrapKind::None)
-      return std::nullopt;
-    const jit::IRInstr &I = F.Blocks[Block].Instrs[K];
-    charge(TM.CompiledDispatchCycles + irInstrCost(I));
+    if (Now + S->Cost < Limit) {
+      Now += S->Cost;
+    } else {
+      Settle();
+      if (PendingTrap != TrapKind::None)
+        return Leave(std::nullopt);
+      charge(S->Cost);
+      Resync();
+    }
 
-    switch (I.Op) {
-    case jit::IROp::MovImm:
-      Regs[I.Dest] = I.Imm;
-      ++K;
+    switch (S->Code) {
+      // One case per operator, each evaluating with a constant opcode.
+#define EVM_EVAL_CASE(OP, EVAL)                                              \
+  case static_cast<uint8_t>(Opcode::OP): {                                   \
+    std::optional<Value> V = EVAL;                                           \
+    if (!V)                                                                  \
+      return Trapped(Trap);                                                  \
+    R[S->Dest] = *V;                                                         \
+    ++S;                                                                     \
+    break;                                                                   \
+  }
+#define EVM_BINARY_CASE(OP)                                                  \
+  EVM_EVAL_CASE(OP, evalBinary(Opcode::OP, R[S->A], R[S->B], Trap))
+#define EVM_UNARY_CASE(OP)                                                   \
+  EVM_EVAL_CASE(OP, evalUnary(Opcode::OP, R[S->A], Trap))
+      EVM_BINARY_OPS(EVM_BINARY_CASE)
+      EVM_UNARY_OPS(EVM_UNARY_CASE)
+#undef EVM_UNARY_CASE
+#undef EVM_BINARY_CASE
+#undef EVM_EVAL_CASE
+    case SlotMovImm:
+      R[S->Dest] = Code.Imms[S->A];
+      ++S;
       break;
-    case jit::IROp::Mov:
-      Regs[I.Dest] = Regs[I.A];
-      ++K;
+    case SlotMov:
+      R[S->Dest] = R[S->A];
+      ++S;
       break;
-    case jit::IROp::Binary: {
-      TrapKind Trap = TrapKind::None;
-      auto R = evalBinary(I.ScalarOp, Regs[I.A], Regs[I.B], Trap);
-      if (!R) {
-        setTrap(Trap, Id, Block);
-        return std::nullopt;
-      }
-      Regs[I.Dest] = *R;
-      ++K;
-      break;
-    }
-    case jit::IROp::Unary: {
-      TrapKind Trap = TrapKind::None;
-      auto R = evalUnary(I.ScalarOp, Regs[I.A], Trap);
-      if (!R) {
-        setTrap(Trap, Id, Block);
-        return std::nullopt;
-      }
-      Regs[I.Dest] = *R;
-      ++K;
-      break;
-    }
-    case jit::IROp::Call: {
-      std::vector<Value> CallArgs;
-      CallArgs.reserve(I.Args.size());
-      for (jit::Reg R : I.Args)
-        CallArgs.push_back(Regs[R]);
-      std::optional<Value> R = invoke(I.Callee, CallArgs, Depth + 1);
-      if (!R)
-        return std::nullopt;
-      Regs[I.Dest] = *R;
-      ++K;
-      break;
-    }
-    case jit::IROp::NewArr: {
-      TrapKind Trap = TrapKind::None;
-      int64_t Count = Regs[I.A].isInt()
-                          ? Regs[I.A].asInt()
-                          : static_cast<int64_t>(Regs[I.A].toDouble());
-      auto Base = TheHeap.alloc(Count, Trap);
-      if (!Base) {
-        setTrap(Trap, Id, Block);
-        return std::nullopt;
-      }
-      Regs[I.Dest] = Value::makeInt(*Base);
-      ++K;
+    case SlotCall: {
+      Value *Out = R + Code.NumRegs;
+      const jit::Reg *ArgReg = Code.ArgRegs.data() + S->A;
+      for (uint32_t K = 0; K != S->B; ++K)
+        Out[K] = R[ArgReg[K]];
+      Settle();
+      std::optional<Value> V = invoke(S->C, Out, Depth + 1);
+      R = Arena.data() + Base; // the callee may have grown the arena
+      Resync();
+      if (!V)
+        return Leave(std::nullopt);
+      R[S->Dest] = *V;
+      ++S;
       break;
     }
-    case jit::IROp::HLoad: {
-      TrapKind Trap = TrapKind::None;
-      int64_t Addr = Regs[I.A].isInt()
-                         ? Regs[I.A].asInt()
-                         : static_cast<int64_t>(Regs[I.A].toDouble());
-      auto Loaded = TheHeap.load(Addr, Trap);
-      if (!Loaded) {
-        setTrap(Trap, Id, Block);
-        return std::nullopt;
-      }
-      Regs[I.Dest] = *Loaded;
-      ++K;
+    case SlotNewArr: {
+      std::optional<int64_t> Addr = TheHeap.alloc(toInt64(R[S->A]), Trap);
+      if (!Addr)
+        return Trapped(Trap);
+      R[S->Dest] = Value::makeInt(*Addr);
+      ++S;
       break;
     }
-    case jit::IROp::HStore: {
-      TrapKind Trap = TrapKind::None;
-      int64_t Addr = Regs[I.A].isInt()
-                         ? Regs[I.A].asInt()
-                         : static_cast<int64_t>(Regs[I.A].toDouble());
-      if (!TheHeap.store(Addr, Regs[I.B], Trap)) {
-        setTrap(Trap, Id, Block);
-        return std::nullopt;
-      }
-      ++K;
+    case SlotHLoad: {
+      std::optional<Value> V = TheHeap.load(toInt64(R[S->A]), Trap);
+      if (!V)
+        return Trapped(Trap);
+      R[S->Dest] = *V;
+      ++S;
       break;
     }
-    case jit::IROp::Jump:
-      Block = I.Target;
-      K = 0;
+    case SlotHStore:
+      if (!TheHeap.store(toInt64(R[S->A]), R[S->B], Trap))
+        return Trapped(Trap);
+      ++S;
       break;
-    case jit::IROp::CondJump:
-      Block = Regs[I.A].isTruthy() ? I.Target : I.Target2;
-      K = 0;
+    case SlotJump:
+      S = Slots + S->A;
       break;
-    case jit::IROp::Ret:
-      return Regs[I.A];
+    case SlotCondJump:
+      S = Slots + (R[S->A].isTruthy() ? S->B : S->C);
+      break;
+    case SlotRet:
+      return Leave(R[S->A]);
+    default:
+      assert(false && "invalid slot code");
+      return Leave(std::nullopt);
     }
   }
 }
@@ -578,6 +712,7 @@ ErrorOr<RunResult> ExecutionEngine::run(const std::vector<Value> &Args,
     State.Stats.FinalLevel = State.Level;
   }
   CallStack.clear();
+  ArenaTop = 0;
   Cycles = 0;
   CompileCycles = 0;
   OverheadCycles = 0;
@@ -619,7 +754,7 @@ ErrorOr<RunResult> ExecutionEngine::run(const std::vector<Value> &Args,
     return makeError("main expects %u arguments, got %zu",
                      M.function(*MainId).NumParams, Args.size());
 
-  std::optional<Value> Result = invoke(*MainId, Args, 0);
+  std::optional<Value> Result = invoke(*MainId, Args.data(), 0);
   if (!Result)
     return makeError("trap in method '%s' (%s)",
                      M.function(TrapMethod).Name.c_str(),

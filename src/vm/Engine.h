@@ -7,7 +7,10 @@
 /// \file
 /// ExecutionEngine runs a MiniVM module start to finish in mixed mode:
 /// baseline methods are interpreted, optimized methods execute their
-/// compiled IR; the two tiers interoperate at call boundaries.  The engine
+/// compiled code; the two tiers interoperate at call boundaries.  Compiled
+/// code is lowered once, when it is installed, into a flat array of
+/// predecoded slots that one switch executes, with frames on a grow-only
+/// register arena.  The engine
 /// owns the virtual clock, the sampling profiler, and the recompilation
 /// plumbing; a pluggable CompilationPolicy decides *when* and *to what
 /// level* methods move (reactive AOS, Evolve prediction, or Rep triggers).
@@ -94,24 +97,38 @@ public:
   static constexpr int MaxCallDepth = 512;
 
 private:
+  /// One predecoded IR instruction (defined in Engine.cpp).
+  struct Slot;
+  /// A CompiledFunction lowered for execution: its slots plus the side
+  /// tables they index (defined in Engine.cpp).
+  struct LoweredCode;
+
   struct MethodState {
     OptLevel Level = OptLevel::Baseline;
     bool BaselineCompiled = false;
-    std::shared_ptr<const jit::CompiledFunction> Code; ///< null at baseline
+    /// Null at baseline.  Shared, so a recompilation in the middle of a
+    /// frame cannot free the code that frame is running.
+    std::shared_ptr<const LoweredCode> Code;
     MethodStats Stats;
   };
 
+  /// Lowers \p Code into slots: jump targets become slot indices and each
+  /// slot carries its full charge under \p TM.
+  static std::shared_ptr<const LoweredCode>
+  lower(const jit::CompiledFunction &Code, const TimingModel &TM);
+
   /// Invokes a method in its current tier; nullopt means a trap is pending.
-  std::optional<bc::Value> invoke(bc::MethodId Id,
-                                  const std::vector<bc::Value> &Args,
+  /// \p Args points at the callee's arity of values.
+  std::optional<bc::Value> invoke(bc::MethodId Id, const bc::Value *Args,
                                   int Depth);
   /// The bytecode interpreter: one switch per instruction.
-  std::optional<bc::Value> interpret(bc::MethodId Id,
-                                     const std::vector<bc::Value> &Args,
+  std::optional<bc::Value> interpret(bc::MethodId Id, const bc::Value *Args,
                                      int Depth);
-  std::optional<bc::Value>
-  executeCompiled(bc::MethodId Id, const jit::CompiledFunction &Code,
-                  const std::vector<bc::Value> &Args, int Depth);
+  /// The compiled-code executor: one switch per slot, the frame on the
+  /// register arena.
+  std::optional<bc::Value> executeCompiled(bc::MethodId Id,
+                                           const LoweredCode &Code,
+                                           const bc::Value *Args, int Depth);
 
   /// Advances the clock, attributing \p Cycles to the method on top of the
   /// call stack and firing profiler samples as intervals elapse.
@@ -124,7 +141,7 @@ private:
   /// Runs first-encounter baseline compilation and the policy's proactive
   /// hook, if not done yet for this method.
   void ensureBaseline(bc::MethodId Id);
-  void setTrap(TrapKind Kind, bc::MethodId Method, size_t Location);
+  void setTrap(TrapKind Kind, bc::MethodId Method);
 
   const bc::Module &M;
   TimingModel TM;
@@ -133,8 +150,14 @@ private:
   Heap TheHeap;
   std::vector<MethodState> Methods;
   /// Per-method pinned code (see setCodeOverride); sparse, usually empty.
-  std::vector<std::shared_ptr<const jit::CompiledFunction>> CodeOverrides;
+  std::vector<std::shared_ptr<const LoweredCode>> CodeOverrides;
   std::vector<bc::MethodId> CallStack;
+  /// Registers of the compiled frames on the call stack, grow-only.  The
+  /// innermost compiled frame ends at ArenaTop; a compiled caller writes a
+  /// call's arguments there, where the callee's frame starts.  Growing
+  /// moves the arena, so no pointer into it survives a call.
+  std::vector<bc::Value> Arena;
+  size_t ArenaTop = 0;
   uint64_t Cycles = 0;
   uint64_t NextSampleAt = 0;
   uint64_t CompileCycles = 0; ///< charged to the clock (stall account)
@@ -153,7 +176,6 @@ private:
 
   TrapKind PendingTrap = TrapKind::None;
   bc::MethodId TrapMethod = 0;
-  size_t TrapLocation = 0;
 };
 
 } // namespace vm

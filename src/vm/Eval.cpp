@@ -2,13 +2,8 @@
 
 #include "vm/Eval.h"
 
-#include <cassert>
-#include <cmath>
-
 using namespace evm;
 using namespace evm::vm;
-using bc::Opcode;
-using bc::Value;
 
 const char *vm::trapKindName(TrapKind Kind) {
   switch (Kind) {
@@ -28,216 +23,4 @@ const char *vm::trapKindName(TrapKind Kind) {
     return "cycle budget exhausted";
   }
   return "unknown";
-}
-
-bool vm::isBinaryOp(Opcode Op) {
-  switch (Op) {
-  case Opcode::Add:
-  case Opcode::Sub:
-  case Opcode::Mul:
-  case Opcode::Div:
-  case Opcode::Mod:
-  case Opcode::And:
-  case Opcode::Or:
-  case Opcode::Xor:
-  case Opcode::Shl:
-  case Opcode::Shr:
-  case Opcode::Eq:
-  case Opcode::Ne:
-  case Opcode::Lt:
-  case Opcode::Le:
-  case Opcode::Gt:
-  case Opcode::Ge:
-  case Opcode::Min:
-  case Opcode::Max:
-    return true;
-  default:
-    return false;
-  }
-}
-
-bool vm::isUnaryOp(Opcode Op) {
-  switch (Op) {
-  case Opcode::Neg:
-  case Opcode::Not:
-  case Opcode::I2F:
-  case Opcode::F2I:
-  case Opcode::Sqrt:
-  case Opcode::Sin:
-  case Opcode::Cos:
-  case Opcode::Floor:
-  case Opcode::Abs:
-    return true;
-  default:
-    return false;
-  }
-}
-
-namespace {
-
-/// Wrapping two's-complement arithmetic via unsigned casts (signed overflow
-/// would be UB).
-int64_t wrapAdd(int64_t A, int64_t B) {
-  return static_cast<int64_t>(static_cast<uint64_t>(A) +
-                              static_cast<uint64_t>(B));
-}
-int64_t wrapSub(int64_t A, int64_t B) {
-  return static_cast<int64_t>(static_cast<uint64_t>(A) -
-                              static_cast<uint64_t>(B));
-}
-int64_t wrapMul(int64_t A, int64_t B) {
-  return static_cast<int64_t>(static_cast<uint64_t>(A) *
-                              static_cast<uint64_t>(B));
-}
-
-} // namespace
-
-std::optional<Value> vm::evalBinary(Opcode Op, const Value &A, const Value &B,
-                                    TrapKind &Trap) {
-  Trap = TrapKind::None;
-  bool BothInt = A.isInt() && B.isInt();
-
-  switch (Op) {
-  case Opcode::Add:
-    if (BothInt)
-      return Value::makeInt(wrapAdd(A.asInt(), B.asInt()));
-    return Value::makeFloat(A.toDouble() + B.toDouble());
-  case Opcode::Sub:
-    if (BothInt)
-      return Value::makeInt(wrapSub(A.asInt(), B.asInt()));
-    return Value::makeFloat(A.toDouble() - B.toDouble());
-  case Opcode::Mul:
-    if (BothInt)
-      return Value::makeInt(wrapMul(A.asInt(), B.asInt()));
-    return Value::makeFloat(A.toDouble() * B.toDouble());
-  case Opcode::Div:
-    if (BothInt) {
-      if (B.asInt() == 0) {
-        Trap = TrapKind::DivisionByZero;
-        return std::nullopt;
-      }
-      // INT64_MIN / -1 overflows; wrap like Java's idiv does.
-      if (A.asInt() == INT64_MIN && B.asInt() == -1)
-        return Value::makeInt(INT64_MIN);
-      return Value::makeInt(A.asInt() / B.asInt());
-    }
-    if (B.toDouble() == 0.0) {
-      Trap = TrapKind::DivisionByZero;
-      return std::nullopt;
-    }
-    return Value::makeFloat(A.toDouble() / B.toDouble());
-  case Opcode::Mod:
-    if (BothInt) {
-      if (B.asInt() == 0) {
-        Trap = TrapKind::DivisionByZero;
-        return std::nullopt;
-      }
-      if (A.asInt() == INT64_MIN && B.asInt() == -1)
-        return Value::makeInt(0);
-      return Value::makeInt(A.asInt() % B.asInt());
-    }
-    if (B.toDouble() == 0.0) {
-      Trap = TrapKind::DivisionByZero;
-      return std::nullopt;
-    }
-    return Value::makeFloat(std::fmod(A.toDouble(), B.toDouble()));
-
-  case Opcode::And:
-  case Opcode::Or:
-  case Opcode::Xor:
-  case Opcode::Shl:
-  case Opcode::Shr: {
-    if (!BothInt) {
-      Trap = TrapKind::IntegerOpOnFloat;
-      return std::nullopt;
-    }
-    int64_t X = A.asInt(), Y = B.asInt();
-    switch (Op) {
-    case Opcode::And:
-      return Value::makeInt(X & Y);
-    case Opcode::Or:
-      return Value::makeInt(X | Y);
-    case Opcode::Xor:
-      return Value::makeInt(X ^ Y);
-    case Opcode::Shl:
-      return Value::makeInt(static_cast<int64_t>(static_cast<uint64_t>(X)
-                                                 << (Y & 63)));
-    case Opcode::Shr:
-      return Value::makeInt(X >> (Y & 63)); // arithmetic shift, Java-style
-    default:
-      break;
-    }
-    assert(false && "unhandled integer op");
-    return std::nullopt;
-  }
-
-  case Opcode::Eq:
-    return Value::makeInt(A.equals(B) ? 1 : 0);
-  case Opcode::Ne:
-    return Value::makeInt(A.equals(B) ? 0 : 1);
-  case Opcode::Lt:
-    if (BothInt)
-      return Value::makeInt(A.asInt() < B.asInt() ? 1 : 0);
-    return Value::makeInt(A.toDouble() < B.toDouble() ? 1 : 0);
-  case Opcode::Le:
-    if (BothInt)
-      return Value::makeInt(A.asInt() <= B.asInt() ? 1 : 0);
-    return Value::makeInt(A.toDouble() <= B.toDouble() ? 1 : 0);
-  case Opcode::Gt:
-    if (BothInt)
-      return Value::makeInt(A.asInt() > B.asInt() ? 1 : 0);
-    return Value::makeInt(A.toDouble() > B.toDouble() ? 1 : 0);
-  case Opcode::Ge:
-    if (BothInt)
-      return Value::makeInt(A.asInt() >= B.asInt() ? 1 : 0);
-    return Value::makeInt(A.toDouble() >= B.toDouble() ? 1 : 0);
-
-  case Opcode::Min:
-    if (BothInt)
-      return Value::makeInt(std::min(A.asInt(), B.asInt()));
-    return Value::makeFloat(std::min(A.toDouble(), B.toDouble()));
-  case Opcode::Max:
-    if (BothInt)
-      return Value::makeInt(std::max(A.asInt(), B.asInt()));
-    return Value::makeFloat(std::max(A.toDouble(), B.toDouble()));
-
-  default:
-    assert(false && "not a binary opcode");
-    return std::nullopt;
-  }
-}
-
-std::optional<Value> vm::evalUnary(Opcode Op, const Value &A, TrapKind &Trap) {
-  Trap = TrapKind::None;
-  switch (Op) {
-  case Opcode::Neg:
-    if (A.isInt())
-      return Value::makeInt(wrapSub(0, A.asInt()));
-    return Value::makeFloat(-A.asFloat());
-  case Opcode::Not:
-    return Value::makeInt(A.isTruthy() ? 0 : 1);
-  case Opcode::I2F:
-    return Value::makeFloat(A.toDouble());
-  case Opcode::F2I:
-    if (A.isInt())
-      return A;
-    return Value::makeInt(static_cast<int64_t>(A.asFloat()));
-  case Opcode::Sqrt:
-    return Value::makeFloat(std::sqrt(A.toDouble()));
-  case Opcode::Sin:
-    return Value::makeFloat(std::sin(A.toDouble()));
-  case Opcode::Cos:
-    return Value::makeFloat(std::cos(A.toDouble()));
-  case Opcode::Floor:
-    if (A.isInt())
-      return A;
-    return Value::makeFloat(std::floor(A.asFloat()));
-  case Opcode::Abs:
-    if (A.isInt())
-      return Value::makeInt(A.asInt() < 0 ? wrapSub(0, A.asInt()) : A.asInt());
-    return Value::makeFloat(std::fabs(A.asFloat()));
-  default:
-    assert(false && "not a unary opcode");
-    return std::nullopt;
-  }
 }

@@ -20,6 +20,22 @@ inline bc::Module assemble(std::string_view Source) {
   return M ? M.takeValue() : bc::Module();
 }
 
+/// Pins every method at one level on first invocation (Baseline: leaves
+/// every method interpreted).
+class ForceLevelPolicy : public vm::CompilationPolicy {
+public:
+  explicit ForceLevelPolicy(vm::OptLevel L) : Level(L) {}
+  std::optional<vm::OptLevel>
+  onFirstInvocation(const vm::MethodRuntimeInfo &) override {
+    if (Level == vm::OptLevel::Baseline)
+      return std::nullopt;
+    return Level;
+  }
+
+private:
+  vm::OptLevel Level;
+};
+
 /// Runs main(Args) without any recompilation policy; fails on traps.
 inline bc::Value runProgram(const bc::Module &M,
                             std::vector<bc::Value> Args = {},

@@ -13,10 +13,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 using namespace evm;
 using namespace evm::bc;
 using namespace evm::vm;
 using evm::test::assemble;
+using evm::test::ForceLevelPolicy;
 using evm::test::runProgram;
 
 namespace {
@@ -278,4 +282,80 @@ TEST(EvalCorners, ClassifierPredicates) {
   EXPECT_FALSE(isBinaryOp(Opcode::Neg));
   EXPECT_TRUE(isUnaryOp(Opcode::Sqrt));
   EXPECT_FALSE(isUnaryOp(Opcode::Call));
+}
+
+//===----------------------------------------------------------------------===//
+// Float-to-int conversion: defined for every double, in every tier
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Runs `main(x) { <Body> ret }` with the float \p X in the interpreter and
+/// at O0-O2.  X arrives as an argument, so the compiled tiers convert it at
+/// run time rather than in the constant folder.
+std::vector<ErrorOr<RunResult>> runEveryTier(const std::string &Body,
+                                             double X) {
+  bc::Module M = assemble("func main(1) locals 1\n" + Body + "  ret\nend\n");
+  std::vector<ErrorOr<RunResult>> Results;
+  for (int L = 0; L != NumOptLevels; ++L) {
+    TimingModel TM;
+    ForceLevelPolicy Policy(levelFromIndex(L));
+    ExecutionEngine Engine(M, TM, &Policy);
+    Results.push_back(Engine.run({Value::makeFloat(X)}, 100000000ULL));
+  }
+  return Results;
+}
+
+const double Nan = std::numeric_limits<double>::quiet_NaN();
+const double Inf = std::numeric_limits<double>::infinity();
+
+} // namespace
+
+TEST(FloatToInt, OutOfRangeGivesInt64MinInEveryTier) {
+  for (double X : {Nan, Inf, -Inf, 1e300, -1e300, 0x1p63}) {
+    SCOPED_TRACE("x=" + std::to_string(X));
+    TrapKind Trap;
+    EXPECT_EQ(evalUnary(Opcode::F2I, Value::makeFloat(X), Trap)->asInt(),
+              INT64_MIN); // the constant folder's path
+    for (const auto &R : runEveryTier("  load_local 0\n  f2i\n", X)) {
+      ASSERT_TRUE(static_cast<bool>(R)) << R.getError().message();
+      EXPECT_EQ(R->ReturnValue.asInt(), INT64_MIN);
+    }
+  }
+}
+
+TEST(FloatToInt, InRangeTruncatesTowardZeroInEveryTier) {
+  for (auto [X, Want] : {std::pair<double, int64_t>{2.9, 2},
+                         {-2.9, -2},
+                         {-0x1p63, INT64_MIN}}) {
+    SCOPED_TRACE("x=" + std::to_string(X));
+    for (const auto &R : runEveryTier("  load_local 0\n  f2i\n", X)) {
+      ASSERT_TRUE(static_cast<bool>(R)) << R.getError().message();
+      EXPECT_EQ(R->ReturnValue.asInt(), Want);
+    }
+  }
+}
+
+TEST(FloatToInt, NonFiniteHeapAddressesTrapInEveryTier) {
+  const std::string Alloc = "  const_i 4\n  newarr\n  pop\n";
+  for (double X : {Nan, Inf, -Inf}) {
+    SCOPED_TRACE("x=" + std::to_string(X));
+    for (const std::string &Body :
+         {Alloc + "  load_local 0\n  hload\n",
+          Alloc + "  load_local 0\n  const_i 7\n  hstore\n  const_i 0\n"}) {
+      for (const auto &R : runEveryTier(Body, X)) {
+        ASSERT_FALSE(static_cast<bool>(R));
+        EXPECT_NE(R.getError().message().find("heap access out of bounds"),
+                  std::string::npos);
+      }
+    }
+  }
+  for (double X : {Nan, 1e300}) {
+    SCOPED_TRACE("x=" + std::to_string(X));
+    for (const auto &R : runEveryTier("  load_local 0\n  newarr\n", X)) {
+      ASSERT_FALSE(static_cast<bool>(R));
+      EXPECT_NE(R.getError().message().find("heap exhausted"),
+                std::string::npos);
+    }
+  }
 }

@@ -17,23 +17,9 @@
 using namespace evm;
 using namespace evm::vm;
 using evm::test::assemble;
+using evm::test::ForceLevelPolicy;
 
 namespace {
-
-/// Policy that forces every method to one level at first invocation.
-class ForceLevelPolicy : public CompilationPolicy {
-public:
-  explicit ForceLevelPolicy(OptLevel L) : Level(L) {}
-  std::optional<OptLevel>
-  onFirstInvocation(const MethodRuntimeInfo &) override {
-    if (Level == OptLevel::Baseline)
-      return std::nullopt;
-    return Level;
-  }
-
-private:
-  OptLevel Level;
-};
 
 /// Runs the program with every method pinned at \p L.
 ErrorOr<RunResult> runAtLevel(const bc::Module &M, OptLevel L,
@@ -157,4 +143,44 @@ TEST(JitPerformance, MixedTiersInteroperate) {
   ASSERT_TRUE(static_cast<bool>(R));
   auto Want = runAtLevel(M, OptLevel::Baseline, 9);
   EXPECT_TRUE(R->ReturnValue.equals(Want->ReturnValue));
+}
+
+namespace {
+
+/// rec(n) keeps 29 locals live across its self-call, so every compiled
+/// frame is wide and a deep recursion grows the engine's register arena
+/// many times while callers still hold frames in it.
+bc::Module deepRecursion() {
+  std::string Src = "func main(1) locals 1\n  load_local 0\n  call rec\n"
+                    "  ret\nend\nfunc rec(1) locals 30\n  load_local 0\n"
+                    "  br_true recurse\n  const_i 0\n  ret\nrecurse:\n";
+  for (int K = 1; K != 30; ++K)
+    Src += "  load_local 0\n  const_i " + std::to_string(K) +
+           "\n  mul\n  store_local " + std::to_string(K) + "\n";
+  Src += "  load_local 0\n  const_i 1\n  sub\n  call rec\n";
+  for (int K = 1; K != 30; ++K)
+    Src += "  load_local " + std::to_string(K) + "\n  add\n";
+  Src += "  ret\nend\n";
+  return assemble(Src);
+}
+
+} // namespace
+
+TEST(JitPerformance, DeepCompiledRecursion) {
+  bc::Module M = deepRecursion();
+  // rec(n) = sum_{m=1..n} 435 m.  The cycle counts were recorded from the
+  // tree-walking IR executor, before frames moved to the register arena.
+  const int64_t Depth = 510;
+  const uint64_t WantCycles[3] = {297139, 440535, 1321535};
+  for (int L = 1; L <= 3; ++L) {
+    SCOPED_TRACE("O" + std::to_string(L - 1));
+    auto R = runAtLevel(M, levelFromIndex(L), Depth);
+    ASSERT_TRUE(static_cast<bool>(R)) << R.getError().message();
+    EXPECT_EQ(R->ReturnValue.asInt(), 435 * Depth * (Depth + 1) / 2);
+    EXPECT_EQ(R->Cycles, WantCycles[L - 1]);
+    auto Deeper = runAtLevel(M, levelFromIndex(L), 600);
+    ASSERT_FALSE(static_cast<bool>(Deeper));
+    EXPECT_NE(Deeper.getError().message().find("call depth exceeded"),
+              std::string::npos);
+  }
 }
