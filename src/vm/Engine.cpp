@@ -79,14 +79,15 @@ const char *compilePhase(OptLevel L) {
 /// (the jit/compile/oN node) across the pipeline's passes, proportional to
 /// recorded pass work.  Integer shares; the rounding remainder stays on
 /// the compile node itself.
-void splitPassCycles(PhaseProfiler &P, const jit::CompiledFunction &Code,
+void splitPassCycles(PhaseProfiler &P,
+                     const std::vector<jit::PassWork> &Passes,
                      uint64_t Cost) {
   uint64_t TotalWork = 0;
-  for (const jit::PassWork &PW : Code.Passes)
+  for (const jit::PassWork &PW : Passes)
     TotalWork += PW.Work;
   if (!TotalWork)
     return;
-  for (const jit::PassWork &PW : Code.Passes)
+  for (const jit::PassWork &PW : Passes)
     P.splitToChild(PW.Name, Cost * PW.Work / TotalWork, PW.Runs);
 }
 
@@ -113,14 +114,18 @@ struct ExecutionEngine::LoweredCode {
   std::vector<Slot> Slots; ///< Slots[0] is the entry
   std::vector<jit::Reg> ArgRegs; ///< every call's argument registers
   std::vector<Value> Imms;       ///< MovImm constants
+  /// The compile's pass work (empty for pinned code), for splitPassCycles.
+  std::vector<jit::PassWork> Passes;
 };
 
 std::shared_ptr<const ExecutionEngine::LoweredCode>
 ExecutionEngine::lower(const jit::CompiledFunction &Code,
+                       std::vector<jit::PassWork> Passes,
                        const TimingModel &TM) {
   const jit::IRFunction &F = Code.IR;
   auto L = std::make_shared<LoweredCode>();
   L->Level = Code.Level;
+  L->Passes = std::move(Passes);
   L->NumParams = F.NumParams;
   L->NumRegs = F.NumRegs;
   // Blocks are laid out in order, so a block starts at the slot count of
@@ -187,7 +192,7 @@ ExecutionEngine::lower(const jit::CompiledFunction &Code,
 
 ExecutionEngine::ExecutionEngine(const bc::Module &M, const TimingModel &TM,
                                  CompilationPolicy *Policy)
-    : M(M), TM(TM), Policy(Policy) {}
+    : M(M), TM(TM), Policy(Policy), Lowered(3 * M.numFunctions()) {}
 
 OptLevel ExecutionEngine::methodLevel(MethodId Id) const {
   assert(Id < Methods.size() && "method id out of range (before run?)");
@@ -199,7 +204,7 @@ void ExecutionEngine::setCodeOverride(
   assert(Id < M.numFunctions() && "method id out of range");
   if (CodeOverrides.size() < M.numFunctions())
     CodeOverrides.resize(M.numFunctions());
-  CodeOverrides[Id] = Code ? lower(*Code, TM) : nullptr;
+  CodeOverrides[Id] = Code ? lower(*Code, {}, TM) : nullptr;
 }
 
 void ExecutionEngine::setTrap(TrapKind Kind, MethodId Method) {
@@ -270,19 +275,27 @@ void ExecutionEngine::installLevel(MethodId Id, OptLevel L) {
 
   uint64_t Cost = TM.compileCost(L, M.function(Id).Code.size());
   CompileCycles += Cost;
-  // Compile before charging so the pass-work breakdown exists when the
-  // cost lump is attributed; compileAtLevel is pure, so the reorder is
-  // unobservable outside the profiler.
-  auto Code = std::make_shared<jit::CompiledFunction>(
-      jit::compileAtLevel(M, Id, L));
+  // The first install of (Id, L) compiles and lowers; every later one, in
+  // any run, reuses that code and charges the same (compileAtLevel and
+  // lower are pure, and M and TM are fixed for the engine's life).  Build
+  // before charging, so the pass-work breakdown exists when the cost lump
+  // is attributed and installs nested in the charge keep their order.
+  std::shared_ptr<const LoweredCode> &Entry =
+      Lowered[Id * 3 + levelIndex(L) - 1];
+  if (!Entry) {
+    jit::CompiledFunction Compiled = jit::compileAtLevel(M, Id, L);
+    Entry = lower(Compiled, std::move(Compiled.Passes), TM);
+  }
+  // Our own reference: the charge below may run nested installs.
+  std::shared_ptr<const LoweredCode> Code = Entry;
   {
     ScopedPhase CompileScope(compilePhase(L));
     charge(Cost);
     if (Prof)
-      splitPassCycles(*Prof, *Code, Cost);
+      splitPassCycles(*Prof, Code->Passes, Cost);
   }
   OptLevel OldLevel = State.Level;
-  State.Code = lower(*Code, TM);
+  State.Code = std::move(Code);
   State.Level = L;
   State.Stats.FinalLevel = L;
   ++State.Stats.NumCompiles;

@@ -8,9 +8,12 @@
 /// ExecutionEngine runs a MiniVM module start to finish in mixed mode:
 /// baseline methods are interpreted, optimized methods execute their
 /// compiled code; the two tiers interoperate at call boundaries.  Compiled
-/// code is lowered once, when it is installed, into a flat array of
-/// predecoded slots that one switch executes, with frames on a grow-only
-/// register arena.  The engine
+/// code is lowered into a flat array of predecoded slots that one switch
+/// executes, with frames on a grow-only register arena.  Each (method,
+/// optimizing level) is compiled and lowered once per engine, at its first
+/// install, and reused by every later install in any run; each install
+/// still charges the level's modeled compile cost, so reuse moves no
+/// virtual cycle.  The engine
 /// owns the virtual clock, the sampling profiler, and the recompilation
 /// plumbing; a pluggable CompilationPolicy decides *when* and *to what
 /// level* methods move (reactive AOS, Evolve prediction, or Rep triggers).
@@ -44,8 +47,11 @@ namespace vm {
 /// Mixed-mode executor for one module.  One engine instance models one
 /// "launch of the virtual machine": method levels and the heap persist
 /// across invoke()s within a run() but are reset at the start of each run().
+/// Lowered code persists for the engine's life (see Lowered).
 class ExecutionEngine {
 public:
+  /// \p M must not change while the engine exists: the engine keeps the
+  /// code it lowers from M for its whole life.
   ExecutionEngine(const bc::Module &M, const TimingModel &TM,
                   CompilationPolicy *Policy);
 
@@ -113,9 +119,11 @@ private:
   };
 
   /// Lowers \p Code into slots: jump targets become slot indices and each
-  /// slot carries its full charge under \p TM.
+  /// slot carries its full charge under \p TM.  \p Passes is the compile's
+  /// pass work, kept for the profiler's split of each install's cost.
   static std::shared_ptr<const LoweredCode>
-  lower(const jit::CompiledFunction &Code, const TimingModel &TM);
+  lower(const jit::CompiledFunction &Code, std::vector<jit::PassWork> Passes,
+        const TimingModel &TM);
 
   /// Invokes a method in its current tier; nullopt means a trap is pending.
   /// \p Args points at the callee's arity of values.
@@ -135,8 +143,10 @@ private:
   void charge(uint64_t Cycles);
   /// One profiler hit: bumps the current method's samples, runs the policy.
   void sampleTick();
-  /// Moves \p Id to \p L: compiles on the spot, charging the full stall.
-  /// The new code takes effect at the method's next invocation (no OSR).
+  /// Moves \p Id to \p L, charging the full compile stall.  The first
+  /// install of (\p Id, \p L) compiles and lowers on the spot; later ones
+  /// reuse that code.  The new code takes effect at the method's next
+  /// invocation (no OSR).
   void installLevel(bc::MethodId Id, OptLevel L);
   /// Runs first-encounter baseline compilation and the policy's proactive
   /// hook, if not done yet for this method.
@@ -151,6 +161,12 @@ private:
   std::vector<MethodState> Methods;
   /// Per-method pinned code (see setCodeOverride); sparse, usually empty.
   std::vector<std::shared_ptr<const LoweredCode>> CodeOverrides;
+  /// Lowered code per method and optimizing level (O0-O2), at
+  /// Id * 3 + levelIndex(L) - 1: filled by the pair's first install and
+  /// never erased.  Sized at construction, because installs nest (a
+  /// compile's charge can fire a sample whose policy installs another
+  /// method), so no entry may move while an outer install holds it.
+  std::vector<std::shared_ptr<const LoweredCode>> Lowered;
   std::vector<bc::MethodId> CallStack;
   /// Registers of the compiled frames on the call stack, grow-only.  The
   /// innermost compiled frame ends at ArenaTop; a compiled caller writes a

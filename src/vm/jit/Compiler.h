@@ -14,8 +14,12 @@
 ///   O2: + aggressive inlining, strength reduction, and loop-invariant
 ///       code motion, with a second cleanup round.
 ///
-/// compile() is pure (no engine state); the ExecutionEngine charges the
-/// virtual clock with TimingModel::compileCost around calls to it.
+/// compileAtLevel() is pure: its output depends only on its arguments, and
+/// no pass keeps static or global state.  The ExecutionEngine relies on
+/// this contract: it compiles each (method, level) once, with the default
+/// InlinePolicy, and reuses the code for every later install, charging the
+/// virtual clock TimingModel::compileCost on each.  Any new input to
+/// compileAtLevel must therefore join the engine's cache key.
 ///
 //===----------------------------------------------------------------------===//
 

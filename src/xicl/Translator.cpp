@@ -122,7 +122,9 @@ ErrorOr<FeatureVector> XICLTranslator::buildFVector(
                            Token.c_str());
         OptionValues[Index] = Tokens[++T];
       } else {
-        OptionValues[Index] = "1"; // presence of a flag
+        // assign(1, '1') rather than = "1": GCC 12 raises a false
+        // -Wrestrict inside std::string for the latter (GCC bug 105329).
+        OptionValues[Index].assign(1, '1'); // presence of a flag
       }
       continue;
     }

@@ -179,8 +179,9 @@ TEST(AdaptivePolicyTest, EscalatesWithSamples) {
   auto Later = Policy.onSample(Info);
   ASSERT_TRUE(Later.has_value());
   EXPECT_EQ(*Later, OptLevel::O2);
-  if (First)
+  if (First) {
     EXPECT_LE(levelIndex(*First), levelIndex(*Later));
+  }
 }
 
 TEST(AdaptivePolicyTest, NoDecisionAtTopLevel) {

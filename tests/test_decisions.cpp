@@ -154,8 +154,9 @@ TEST(DecisionLedgerTest, TreePathEndsInPredictedLeaf) {
       ASSERT_GE(Text.size(), Tail.size());
       EXPECT_EQ(Text.substr(Text.size() - Tail.size()), Tail);
       // Deep points take at least two splits to reach the corner leaf.
-      if (X > 5 && Y > 5)
+      if (X > 5 && Y > 5) {
         EXPECT_GE(Path.Steps.size(), 2u);
+      }
     }
 }
 

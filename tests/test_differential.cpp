@@ -24,6 +24,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <functional>
 
 using namespace evm;
 using namespace evm::vm;
@@ -132,56 +133,115 @@ private:
   uint64_t H = 14695981039346656037ULL;
 };
 
-/// Fingerprints every accounting path of the compiled tiers on one module
-/// and argument list: forced O0-O2, the adaptive policy traced at three
-/// sample phases, forced O1 fenced so a FuelExhausted trap lands inside
-/// the run (traced and profiled, since a trap returns only its message),
-/// and the adaptive policy under an installed profiler.
-void fingerprintModule(Fingerprint &FP, const bc::Module &M,
-                       const std::vector<bc::Value> &Args) {
+/// One observable run on a caller's engine: sets the policy (and tracer or
+/// profiler), runs once, and fingerprints the result.
+using RunStep = std::function<void(ExecutionEngine &, Fingerprint &)>;
+
+/// The adaptive policy under an installed profiler; with \p PinMethod0,
+/// method 0 runs pinned at O0, so the policy raises pinned code.
+RunStep profiledAdaptiveStep(const bc::Module &M,
+                             const std::vector<bc::Value> &Args,
+                             bool PinMethod0) {
+  return [&M, &Args, PinMethod0](ExecutionEngine &E, Fingerprint &FP) {
+    PhaseProfiler Prof;
+    ProfilerInstallGuard Guard(&Prof);
+    AdaptivePolicy Policy(E.timingModel());
+    E.setPolicy(&Policy);
+    if (PinMethod0)
+      E.setCodeOverride(0, std::make_shared<jit::CompiledFunction>(
+                               jit::compileAtLevel(M, 0, OptLevel::O0)));
+    FP.run(E.run(Args, MaxCycles, 0, 12345), M, nullptr, &Prof);
+    E.setCodeOverride(0, nullptr);
+  };
+}
+
+/// Every accounting path of the compiled tiers on one module and argument
+/// list: forced O0-O2, the adaptive policy traced at three sample phases,
+/// forced O1 fenced so a FuelExhausted trap lands inside the run (traced
+/// and profiled, since a trap returns only its message), and the adaptive
+/// policy under an installed profiler.
+std::vector<RunStep> accountingSteps(const bc::Module &M,
+                                     const std::vector<bc::Value> &Args) {
+  std::vector<RunStep> Steps;
+  for (int L = 1; L <= 3; ++L)
+    Steps.push_back([&M, &Args, L](ExecutionEngine &E, Fingerprint &FP) {
+      ForceLevelPolicy Policy(levelFromIndex(L));
+      E.setPolicy(&Policy);
+      FP.run(E.run(Args, MaxCycles), M, nullptr, nullptr);
+    });
+  for (uint64_t Phase : {uint64_t{0}, uint64_t{12345}, uint64_t{49999}})
+    Steps.push_back([&M, &Args, Phase](ExecutionEngine &E, Fingerprint &FP) {
+      TraceRecorder Tracer;
+      Tracer.setEnabled(true);
+      AdaptivePolicy Policy(E.timingModel(), &Tracer);
+      E.setPolicy(&Policy);
+      E.setTracer(&Tracer);
+      FP.run(E.run(Args, MaxCycles, 0, Phase), M, &Tracer, nullptr);
+      E.setTracer(nullptr);
+    });
   TimingModel TM;
-  std::optional<RunResult> ForcedO1;
-  for (int L = 1; L <= 3; ++L) {
-    ForceLevelPolicy Policy(levelFromIndex(L));
-    ExecutionEngine Engine(M, TM, &Policy);
-    auto R = Engine.run(Args, MaxCycles);
-    FP.run(R, M, nullptr, nullptr);
-    if (L == 2 && R)
-      ForcedO1 = *R;
-  }
-  for (uint64_t Phase : {uint64_t{0}, uint64_t{12345}, uint64_t{49999}}) {
-    TraceRecorder Tracer;
-    Tracer.setEnabled(true);
-    AdaptivePolicy Policy(TM, &Tracer);
-    ExecutionEngine Engine(M, TM, &Policy);
-    Engine.setTracer(&Tracer);
-    FP.run(Engine.run(Args, MaxCycles, 0, Phase), M, &Tracer, nullptr);
-  }
-  if (ForcedO1) {
+  ForceLevelPolicy O1Policy(OptLevel::O1);
+  ExecutionEngine O1Engine(M, TM, &O1Policy);
+  if (auto ForcedO1 = O1Engine.run(Args, MaxCycles)) {
     uint64_t C = ForcedO1->Cycles;
     // Half the clock; halfway through the cycles not spent compiling,
     // which lands the trap in a compiled frame; and the very last charge
     // (a trap set by the final slot's charge still lets that slot return,
     // so the run succeeds).
     for (uint64_t Fence :
-         {C / 2, (C + ForcedO1->compileCycles()) / 2, C - 1}) {
-      TraceRecorder Tracer;
-      Tracer.setEnabled(true);
-      PhaseProfiler Prof;
-      ProfilerInstallGuard Guard(&Prof);
-      ForceLevelPolicy Policy(OptLevel::O1);
-      ExecutionEngine Engine(M, TM, &Policy);
-      Engine.setTracer(&Tracer);
-      FP.run(Engine.run(Args, Fence), M, &Tracer, &Prof);
+         {C / 2, (C + ForcedO1->compileCycles()) / 2, C - 1})
+      Steps.push_back([&M, &Args, Fence](ExecutionEngine &E, Fingerprint &FP) {
+        TraceRecorder Tracer;
+        Tracer.setEnabled(true);
+        PhaseProfiler Prof;
+        ProfilerInstallGuard Guard(&Prof);
+        ForceLevelPolicy Policy(OptLevel::O1);
+        E.setPolicy(&Policy);
+        E.setTracer(&Tracer);
+        FP.run(E.run(Args, Fence), M, &Tracer, &Prof);
+        E.setTracer(nullptr);
+      });
+  }
+  Steps.push_back(profiledAdaptiveStep(M, Args, false));
+  return Steps;
+}
+
+/// Fingerprints every accounting path, each on a fresh engine.
+void fingerprintModule(Fingerprint &FP, const bc::Module &M,
+                       const std::vector<bc::Value> &Args) {
+  TimingModel TM;
+  for (const RunStep &Step : accountingSteps(M, Args)) {
+    ExecutionEngine Engine(M, TM, nullptr);
+    Step(Engine, FP);
+  }
+}
+
+/// Digests the accounting paths of every argument list, plus a profiled
+/// adaptive run with method 0 pinned, twice: all on one engine (warm, so
+/// later installs reuse the code earlier ones built), and each on a fresh
+/// engine (cold).  Before its step the cold engine makes as many runs as
+/// the warm one had made, under no policy and one cycle of fuel: they trap
+/// before installing anything, and align the traced run ordinals.
+std::pair<uint64_t, uint64_t>
+warmAndColdDigests(const bc::Module &M,
+                   const std::vector<std::vector<bc::Value>> &ArgLists) {
+  TimingModel TM;
+  ExecutionEngine Warm(M, TM, nullptr);
+  Fingerprint WarmFP, ColdFP;
+  uint64_t PriorRuns = 0;
+  for (const std::vector<bc::Value> &Args : ArgLists) {
+    std::vector<RunStep> Steps = accountingSteps(M, Args);
+    Steps.push_back(profiledAdaptiveStep(M, Args, true));
+    for (const RunStep &Step : Steps) {
+      Step(Warm, WarmFP);
+      ExecutionEngine Cold(M, TM, nullptr);
+      for (uint64_t K = 0; K != PriorRuns; ++K)
+        EXPECT_FALSE(static_cast<bool>(Cold.run(Args, 1)));
+      Step(Cold, ColdFP);
+      ++PriorRuns;
     }
   }
-  {
-    PhaseProfiler Prof;
-    ProfilerInstallGuard Guard(&Prof);
-    AdaptivePolicy Policy(TM);
-    ExecutionEngine Engine(M, TM, &Policy);
-    FP.run(Engine.run(Args, MaxCycles, 0, 12345), M, nullptr, &Prof);
-  }
+  return {WarmFP.digest(), ColdFP.digest()};
 }
 
 /// The generated-workload specs the differential tests share.
@@ -426,5 +486,34 @@ TEST(Differential, CompiledTierAccountingPinned) {
     EXPECT_EQ(Got[K], Pinned[K])
         << (Workload ? "genseed=" : "seed=")
         << SeedBase + (Workload ? K - NumSeeds : K);
+  }
+}
+
+TEST(Differential, ReusedCodeMatchesFreshCompile) {
+  // An engine compiles and lowers each (method, level) once and reuses the
+  // code in every later install, in the same run or a later one, while
+  // charging each install as a fresh compile.  Running the accounting
+  // paths in turn on one engine must then digest exactly like running
+  // each on a fresh engine: cycles, stats, compile events, traces and
+  // profile rows, including the per-pass split of each compile's cost.
+  auto Inputs = [](std::initializer_list<int64_t> Values) {
+    std::vector<std::vector<bc::Value>> Lists;
+    for (int64_t V : Values)
+      Lists.push_back({bc::Value::makeInt(V)});
+    return Lists;
+  };
+  for (uint64_t Seed = SeedBase; Seed != SeedBase + NumSeeds; ++Seed) {
+    auto MOrErr = wl::generateRandomProgram(Seed);
+    ASSERT_TRUE(static_cast<bool>(MOrErr)) << "seed=" << Seed;
+    auto [Warm, Cold] = warmAndColdDigests(*MOrErr, Inputs({0, 3, 17}));
+    EXPECT_EQ(Warm, Cold) << "seed=" << Seed;
+  }
+  for (uint64_t Seed = SeedBase; Seed != SeedBase + 20; ++Seed) {
+    auto G = wl::generateWorkload(workloadSpec(Seed));
+    ASSERT_TRUE(static_cast<bool>(G)) << G.getError().message();
+    auto [Warm, Cold] = warmAndColdDigests(
+        G->W.Module,
+        {G->W.Inputs.front().VmArgs, G->W.Inputs.back().VmArgs});
+    EXPECT_EQ(Warm, Cold) << "genseed=" << Seed;
   }
 }

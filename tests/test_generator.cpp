@@ -235,8 +235,9 @@ TEST(Generator, InputStreamRealizesSpec) {
                     static_cast<long long>(Size),
                     static_cast<long long>(Scale));
       EXPECT_EQ(In.CommandLine, Expect);
-      if (S.Coupling >= 1.0)
+      if (S.Coupling >= 1.0) {
         EXPECT_EQ(In.VmArgs[2].asInt(), 0);
+      }
     }
   }
 }

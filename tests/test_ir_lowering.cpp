@@ -162,8 +162,9 @@ TEST(DominatorsTest, EntryDominatesEverything) {
   IRFunction F = loweredLoop();
   DominatorTree DT(F);
   for (BlockId B = 0; B != F.Blocks.size(); ++B)
-    if (DT.isReachable(B))
+    if (DT.isReachable(B)) {
       EXPECT_TRUE(DT.dominates(0, B));
+    }
 }
 
 TEST(DominatorsTest, DominanceIsReflexiveAndAntisymmetric) {
@@ -172,8 +173,9 @@ TEST(DominatorsTest, DominanceIsReflexiveAndAntisymmetric) {
   for (BlockId A = 0; A != F.Blocks.size(); ++A) {
     EXPECT_TRUE(DT.dominates(A, A));
     for (BlockId B = 0; B != F.Blocks.size(); ++B)
-      if (A != B && DT.isReachable(A) && DT.isReachable(B))
+      if (A != B && DT.isReachable(A) && DT.isReachable(B)) {
         EXPECT_FALSE(DT.dominates(A, B) && DT.dominates(B, A));
+      }
   }
 }
 

@@ -111,9 +111,10 @@ TEST(JitPerformance, TrapsAgreeAcrossTiers) {
   for (int L = 0; L != 4; ++L) {
     auto R = runAtLevel(M, levelFromIndex(L), 0);
     EXPECT_FALSE(static_cast<bool>(R)) << "level " << L - 1;
-    if (!R)
+    if (!R) {
       EXPECT_NE(R.getError().message().find("division by zero"),
                 std::string::npos);
+    }
   }
   // And succeed identically on a non-trapping input.
   for (int L = 0; L != 4; ++L) {

@@ -73,8 +73,9 @@ TEST(StoreRaceTest, TwoWriterCheckpointsNeverCorruptTheStore) {
       StoreReadStats Stats;
       LoadStatus St = loadStoreFile(Path, Disk, Stats);
       ASSERT_NE(St, LoadStatus::IoError);
-      if (St == LoadStatus::Loaded)
+      if (St == LoadStatus::Loaded) {
         ASSERT_TRUE(Stats.clean());
+      }
       KnowledgeStore Mine = makeDoc(Disk.Header.Generation + 1, Tag);
       ASSERT_TRUE(saveStoreFile(Path, mergeStores(Disk, Mine)));
     }

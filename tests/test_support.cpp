@@ -371,8 +371,9 @@ TEST(MetricsTest, SnapshotDuringProductionIsConsistent) {
   });
   for (int I = 0; I != 50; ++I) {
     MetricsSnapshot S = Reg.snapshot();
-    if (const MetricValue *H = S.find("samples"))
+    if (const MetricValue *H = S.find("samples")) {
       EXPECT_GT(H->Box.Count, 0u); // summarized without tearing
+    }
     EXPECT_LE(S.counter("produced"), Produced);
   }
   Producer.join();
