@@ -7,9 +7,11 @@
 //              aggregate JSON documents and the folded global stores must
 //              match byte for byte.  Zero tolerance, gated everywhere.
 //
-//   speedup    a storeless 8-tenant fleet is wall-clock timed at T=1 and
-//              T=4; the parallel run must be >= 1.5x faster.  Host time is
-//              only meaningful with real cores underneath, so this gate
+//   speedup    a storeless 8-tenant fleet is wall-clock timed in five
+//              alternating T=1/T=4 pairs; the median of the per-pair
+//              speedups must be >= 1.5x, so one host stall during one
+//              sample cannot fail the gate.  Host time is only
+//              meaningful with real cores underneath, so this gate
 //              (and its fleet.speedup_t4 metric) engages only when
 //              std::thread::hardware_concurrency() >= 4 — on smaller
 //              boxes it reports and skips, and the committed baseline
@@ -24,10 +26,12 @@
 #include "harness/Fleet.h"
 #include "support/Table.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include <sys/stat.h>
 #include <unistd.h>
@@ -136,20 +140,27 @@ int main(int argc, char **argv) {
   // Gate 2: wall-clock scaling, only where the host can actually scale.
   unsigned Cores = std::thread::hardware_concurrency();
   if (Cores >= 4) {
-    const size_t SpTenants = 8, SpRuns = 8;
-    double T1 = wallSeconds(fleetConfig(SpTenants, 1, SpRuns, ""));
-    double T4 = wallSeconds(fleetConfig(SpTenants, 4, SpRuns, ""));
-    double Speedup = T4 > 0 ? T1 / T4 : 0;
+    const size_t SpTenants = 8, SpRuns = 8, Pairs = 5;
+    std::vector<double> Ratios;
+    for (size_t P = 0; P != Pairs; ++P) {
+      double T1 = wallSeconds(fleetConfig(SpTenants, 1, SpRuns, ""));
+      double T4 = wallSeconds(fleetConfig(SpTenants, 4, SpRuns, ""));
+      Ratios.push_back(T4 > 0 ? T1 / T4 : 0);
+      std::printf("speedup pair %zu: T1=%.3fs T4=%.3fs -> %.2fx\n", P + 1,
+                  T1, T4, Ratios.back());
+    }
+    std::sort(Ratios.begin(), Ratios.end());
+    double Speedup = Ratios[Pairs / 2];
     Metrics.setGauge("fleet.speedup_t4", Speedup);
     Table.beginRow();
-    Table.addCell("speedup T=4 (wall)");
+    Table.addCell("speedup T=4 (wall, median of 5 pairs)");
     Table.addCell(Speedup, 2);
     Table.addCell(Speedup >= 1.5 ? "ok" : "FAIL");
     if (Speedup < 1.5) {
       std::fprintf(stderr,
-                   "GATE: T=4 wall-clock speedup %.2fx < 1.5x "
-                   "(T1=%.3fs, T4=%.3fs, %u cores)\n",
-                   Speedup, T1, T4, Cores);
+                   "GATE: T=4 wall-clock speedup, median of %zu pairs, "
+                   "%.2fx < 1.5x (%u cores)\n",
+                   Pairs, Speedup, Cores);
       ++Failures;
     }
   } else {

@@ -117,8 +117,6 @@ ServerConfig serveConfig(const char *Tag) {
   C.SocketPath =
       "/tmp/bench_serve." + std::to_string(getpid()) + "." + Tag + ".sock";
   C.Seed = 1;
-  C.BatchSize = 4;
-  C.BatchDeadlineMicros = 500;
   C.MaxQueue = 256;
   C.MaxInflightPerClient = 64;
   return C;
@@ -293,7 +291,8 @@ int main(int argc, char **argv) {
     // SLOs sized for a debug-friendly build with generous slack: a served
     // run is milliseconds of virtual-machine work, so a p99 of a second
     // or a throughput under 10 req/s means the serving path is stalling
-    // (lost wakeups, batcher deadline bugs), not that the host is slow.
+    // (lost wakeups, requests stranded on a lane), not that the host is
+    // slow.
     const double MaxP99Us = 1e6, MinRps = 10;
     Metrics.setGauge("serve.p50_us", P50);
     Metrics.setGauge("serve.p99_us", P99);

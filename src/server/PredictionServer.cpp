@@ -18,6 +18,15 @@
 using namespace evm;
 using namespace evm::server;
 
+namespace {
+
+/// See setLaneHoldHook.
+std::atomic<LaneHoldHook> HoldHook{nullptr};
+
+} // namespace
+
+void server::setLaneHoldHook(LaneHoldHook Hook) { HoldHook.store(Hook); }
+
 //===----------------------------------------------------------------------===//
 // ClientConn
 //===----------------------------------------------------------------------===//
@@ -88,11 +97,6 @@ bool PredictionServer::start() {
   }
 
   RejectLedger.setEnabled(C.CaptureDecisions);
-  Batcher = std::make_unique<RequestBatcher>(
-      RequestBatcher::Config{C.BatchSize, C.BatchDeadlineMicros},
-      [this](std::vector<BatchItem> B, RequestBatcher::FlushReason R) {
-        onFlush(std::move(B), R);
-      });
   Running = true;
   AcceptThread = std::thread([this] { acceptLoop(); });
   return true;
@@ -114,18 +118,18 @@ int PredictionServer::drainAndWait() {
     ::unlink(C.SocketPath.c_str());
   }
 
-  // 2. Flush the batcher: every admitted request reaches its lane.  New
-  // frames keep arriving on live connections; readers answer "draining".
-  if (Batcher)
-    Batcher->drain();
-
-  // 3. Let every lane finish its queue and publish its final checkpoint.
+  // 2. Stop admission.  Readers push onto a lane, or create one, only under
+  // LanesMutex and only while Draining is unset, so once the lanes are
+  // collected here no request reaches a lane.  New frames keep arriving on
+  // live connections; readers answer "draining".
   std::vector<Lane *> All;
   {
     std::lock_guard<std::mutex> L(LanesMutex);
     for (auto &P : Lanes)
       All.push_back(P.get());
   }
+
+  // 3. Let every lane finish its queue and publish its final checkpoint.
   for (Lane *L : All) {
     {
       std::lock_guard<std::mutex> QL(L->M);
@@ -288,72 +292,51 @@ void PredictionServer::handleRequest(const std::shared_ptr<ClientConn> &Conn,
     return;
   }
 
-  // Admission control, cheapest check first.  Rejections answer
-  // immediately — the socket never stalls under overload.
-  if (Draining.load())
-    return reject(Conn, Req->Id, App, "draining");
-  if (InFlight.load() >= C.MaxQueue)
-    return reject(Conn, Req->Id, App, "overload");
-  if (Conn->Inflight.load() >= C.MaxInflightPerClient)
-    return reject(Conn, Req->Id, App, "client_inflight");
-
-  BatchItem Item;
+  QueuedRequest Item;
   Item.Req = std::move(Req->Run);
   Item.Id = Req->Id;
   Item.Client = Conn;
   Item.Enqueued = std::chrono::steady_clock::now();
-
-  size_t Cur = InFlight.fetch_add(1) + 1;
-  Conn->Inflight.fetch_add(1);
-  size_t Peak = PeakInFlight.load();
-  while (Cur > Peak && !PeakInFlight.compare_exchange_weak(Peak, Cur)) {
-  }
-
-  if (!Batcher->submit(std::move(Item))) {
-    // Drain began between the check above and the submit.
-    InFlight.fetch_sub(1);
-    Conn->Inflight.fetch_sub(1);
-    reject(Conn, Req->Id, App, "draining");
-  }
+  // Rejections answer immediately — the socket never stalls under
+  // overload.
+  if (const char *Reason = admit(Item))
+    reject(Conn, Req->Id, App, Reason);
 }
 
 //===----------------------------------------------------------------------===//
-// Batch routing and lanes
+// Admission and lanes
 //===----------------------------------------------------------------------===//
 
-void PredictionServer::onFlush(std::vector<BatchItem> Batch,
-                               RequestBatcher::FlushReason R) {
-  switch (R) {
-  case RequestBatcher::FlushReason::Size:
-    Metrics.add("server.flush.size");
-    break;
-  case RequestBatcher::FlushReason::Deadline:
-    Metrics.add("server.flush.deadline");
-    break;
-  case RequestBatcher::FlushReason::Drain:
-    Metrics.add("server.flush.drain");
-    break;
-  }
-  Metrics.observe("server.batch.size", static_cast<double>(Batch.size()));
+const char *PredictionServer::admit(QueuedRequest &Item) {
+  // Drain sets Draining before it collects the lanes under this mutex, so
+  // a request admitted here is on its lane's FIFO before drain stops and
+  // joins that lane, and no lane is created after the collection.
+  std::lock_guard<std::mutex> LG(LanesMutex);
+  // Cheapest check first.
+  if (Draining.load())
+    return "draining";
+  if (InFlight.load() >= C.MaxQueue)
+    return "overload";
+  if (Item.Client->Inflight.load() >= C.MaxInflightPerClient)
+    return "client_inflight";
+  Lane *L = laneFor(Item.Req.App);
+  if (!L)
+    return "lanes";
 
-  for (BatchItem &Item : Batch) {
-    Lane *L = laneFor(Item.Req.App);
-    if (!L) {
-      InFlight.fetch_sub(1);
-      Item.Client->Inflight.fetch_sub(1);
-      reject(Item.Client, Item.Id, Item.Req.App, "lanes");
-      continue;
-    }
-    {
-      std::lock_guard<std::mutex> QL(L->M);
-      L->Queue.push_back(std::move(Item));
-    }
-    L->CV.notify_all();
+  size_t Cur = InFlight.fetch_add(1) + 1;
+  Item.Client->Inflight.fetch_add(1);
+  PeakInFlight.store(std::max(PeakInFlight.load(), Cur));
+  {
+    std::lock_guard<std::mutex> QL(L->M);
+    L->Queue.push_back(std::move(Item));
   }
+  // Notify after every push: a lane that misses a wakeup would strand its
+  // last request, since no later request comes to wake it.
+  L->CV.notify_all();
+  return nullptr;
 }
 
 PredictionServer::Lane *PredictionServer::laneFor(const std::string &App) {
-  std::lock_guard<std::mutex> LG(LanesMutex);
   auto It = LaneByApp.find(App);
   if (It != LaneByApp.end())
     return It->second;
@@ -370,7 +353,7 @@ PredictionServer::Lane *PredictionServer::laneFor(const std::string &App) {
   return Ptr;
 }
 
-void PredictionServer::finishItem(const BatchItem &Item) {
+void PredictionServer::finishItem(const QueuedRequest &Item) {
   auto Us = std::chrono::duration_cast<std::chrono::microseconds>(
                 std::chrono::steady_clock::now() - Item.Enqueued)
                 .count();
@@ -419,7 +402,7 @@ void PredictionServer::laneMain(Lane &L) {
   };
 
   while (true) {
-    BatchItem Item;
+    QueuedRequest Item;
     {
       std::unique_lock<std::mutex> QL(L.M);
       L.CV.wait(QL, [&] { return L.Stop || !L.Queue.empty(); });
@@ -428,6 +411,8 @@ void PredictionServer::laneMain(Lane &L) {
       Item = std::move(L.Queue.front());
       L.Queue.pop_front();
     }
+    if (LaneHoldHook Hold = HoldHook.load())
+      Hold();
 
     std::string Response;
     bool Ok = false;

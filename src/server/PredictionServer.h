@@ -8,9 +8,9 @@
 /// The daemon that promotes EvolvableVM from batch launches to a
 /// long-running online service (the ROADMAP's "heavy traffic" north star):
 ///
-///   clients ──unix socket──> reader threads ──admission──> RequestBatcher
-///        ──flush──> per-app worker lanes (persistent EvolvableVM)
-///        ──checkpoints──> StoreGateway snapshots ──fold──> global stores
+///   clients ──unix socket──> reader threads ──admission──> per-app lane
+///        FIFOs (persistent EvolvableVM) ──checkpoints──> StoreGateway
+///        snapshots ──fold──> global stores
 ///
 ///   - One reader thread per connection parses frames (server/Protocol.h)
 ///     and applies admission control *before* queueing: a global in-flight
@@ -18,10 +18,8 @@
 ///     socket), a per-client in-flight cap ("client_inflight"), and a lane
 ///     cap ("lanes").  Rejections are answered immediately and recorded in
 ///     the decision ledger with the `rejected` verdict so evm-explain can
-///     report drop rates per app.
-///   - The RequestBatcher couples admission to execution (flush on batch
-///     size or deadline); its flush routes items to per-app lanes, creating
-///     lanes on demand.
+///     report drop rates per app.  An admitted request goes straight onto
+///     its lane's FIFO, and the reader creates the lane on demand.
 ///   - Each lane owns one persistent EvolvableVM for its app id
 ///     ("workload[:instance]"), warm-started from the StoreGateway's
 ///     snapshot at lane creation, executing its queue strictly FIFO — so a
@@ -31,14 +29,15 @@
 ///     CheckpointEvery runs (0 = only at drain) under fleet-style striped
 ///     generations.
 ///   - Graceful drain (SIGTERM in tools/evm-served): stop accepting, answer
-///     new frames with "draining", flush the batcher, let every lane finish
-///     its queue, publish final checkpoints, fold all global stores (the
-///     final checkpoint `evm-store validate` must accept), then unblock and
-///     join the readers.
+///     new frames with "draining", let every lane finish its queue, publish
+///     final checkpoints, fold all global stores (the final checkpoint
+///     `evm-store validate` must accept), then unblock and join the
+///     readers.  Every admitted request is either on a lane's FIFO before
+///     drain stops that lane, or answered "draining".
 ///
 /// Observability: server.* metrics in a thread-safe MetricsRegistry —
-/// request/response counters, rejection counters by reason, batch-size and
-/// request-latency histograms (host microseconds, admission to response;
+/// request/response counters, rejection counters by reason, and a
+/// request-latency histogram (host microseconds, admission to response;
 /// P50/P99 via the registry's percentile summaries).  Like fleet mode,
 /// engine-level trace recording stays detached on the serving hot path:
 /// concurrent lanes interleaving into one recorder would destroy
@@ -52,12 +51,13 @@
 #define EVM_SERVER_PREDICTIONSERVER_H
 
 #include "harness/Scenario.h"
-#include "server/Batcher.h"
+#include "server/Protocol.h"
 #include "server/StoreGateway.h"
 #include "support/DecisionLedger.h"
 #include "support/Metrics.h"
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -97,9 +97,26 @@ private:
   std::mutex WriteMutex;
 };
 
+/// One admitted run request on its lane's FIFO: what to run, whom to
+/// answer, and when it was admitted (the latency histogram measures
+/// admission-to-response).
+struct QueuedRequest {
+  RunRequest Req;
+  uint64_t Id = 0;
+  std::shared_ptr<ClientConn> Client;
+  std::chrono::steady_clock::time_point Enqueued;
+};
+
+/// Test-only: when a hook is installed, every lane calls it before it runs
+/// each request, so a test can keep admitted requests queued until it
+/// releases the hook.  Production code never installs one.  Install
+/// nullptr to restore normal behaviour.
+using LaneHoldHook = void (*)();
+void setLaneHoldHook(LaneHoldHook Hook);
+
 /// Serving knobs.  The determinism pin holds for any values as long as the
-/// request stream is serial; the batching/admission knobs only shape
-/// concurrency behaviour.
+/// request stream is serial; the admission knobs only shape concurrency
+/// behaviour.
 struct ServerConfig {
   std::string SocketPath;
   /// Shard + global store directory (empty = nothing persists).
@@ -108,8 +125,6 @@ struct ServerConfig {
   uint64_t Seed = 1;
   /// Cap on distinct app lanes ("lanes" rejections beyond it).
   size_t MaxLanes = 8;
-  size_t BatchSize = 4;
-  uint64_t BatchDeadlineMicros = 1000;
   /// Global bound on admitted-but-unanswered requests ("overload").
   size_t MaxQueue = 256;
   /// Per-client bound ("client_inflight").
@@ -130,9 +145,9 @@ public:
   explicit PredictionServer(ServerConfig C);
   ~PredictionServer();
 
-  /// Binds the socket and starts the accept/batcher threads.  False on
-  /// failure (see error()); the socket file exists once this returns true,
-  /// which is the daemon's readiness signal.
+  /// Binds the socket and starts the accept thread.  False on failure (see
+  /// error()).  The socket file appears at bind, before this returns, and
+  /// is the daemon's readiness signal.
   bool start();
 
   /// Begins drain: stop accepting connections, reject new run requests
@@ -140,7 +155,7 @@ public:
   /// drainAndWait().
   void requestDrain();
 
-  /// Completes the drain: flushes the batcher, lets every lane finish its
+  /// Completes the drain: stops admission, lets every lane finish its
   /// queue and publish its final checkpoint, folds all global stores, and
   /// joins every thread.  Returns 0 on success, 3 when any final store
   /// fold failed (the daemon's exit code).
@@ -167,7 +182,7 @@ private:
     std::thread Thread;
     std::mutex M;
     std::condition_variable CV;
-    std::deque<BatchItem> Queue;
+    std::deque<QueuedRequest> Queue;
     bool Stop = false;
     DecisionLedger Ledger{size_t(1) << 16};
   };
@@ -178,10 +193,13 @@ private:
                      const std::string &Payload);
   void reject(const std::shared_ptr<ClientConn> &Conn, uint64_t Id,
               const std::string &App, const char *Reason);
-  void onFlush(std::vector<BatchItem> Batch, RequestBatcher::FlushReason R);
-  Lane *laneFor(const std::string &App); ///< creates on demand; null at cap
+  /// Admission control: pushes \p Item onto its lane's FIFO and returns
+  /// null, or returns the rejection reason.
+  const char *admit(QueuedRequest &Item);
+  /// Caller holds LanesMutex.  Creates on demand; null at cap.
+  Lane *laneFor(const std::string &App);
   void laneMain(Lane &L);
-  void finishItem(const BatchItem &Item);
+  void finishItem(const QueuedRequest &Item);
 
   ServerConfig C;
   std::string Err;
@@ -191,7 +209,6 @@ private:
   std::atomic<bool> Drained{false};
   std::thread AcceptThread;
   std::unique_ptr<StoreGateway> Gateway;
-  std::unique_ptr<RequestBatcher> Batcher;
   MetricsRegistry Metrics;
 
   std::atomic<size_t> InFlight{0};

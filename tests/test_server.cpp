@@ -10,10 +10,15 @@
 //   * admission control: bounded queues answer overload with explicit
 //     rejections (never by stalling the socket), per-client caps reject
 //     pipelined floods, a serial stream is never rejected;
-//   * graceful drain: every admitted request is answered, the final
-//     checkpoint folds into a loadable, clean global store;
-//   * the RequestBatcher's flush triggers (size, deadline, drain);
+//   * graceful drain: every admitted request is answered, also while
+//     clients keep flooding, and the final checkpoint folds into a
+//     loadable, clean global store;
+//   * the evm-served daemon drains on a SIGTERM that arrives the moment
+//     its socket file appears;
 //   * the wire protocol's parse/render round trip.
+//
+// A test-only lane hold (setLaneHoldHook) keeps admitted requests queued
+// where a test needs them to be, so rejection and drain outcomes are exact.
 //
 //===----------------------------------------------------------------------===//
 
@@ -27,12 +32,21 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <condition_variable>
+#include <csignal>
 #include <cstring>
+#include <set>
 #include <thread>
 
+#include <fcntl.h>
+#include <spawn.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <sys/un.h>
+#include <sys/wait.h>
 #include <unistd.h>
+
+extern char **environ;
 
 using namespace evm;
 using namespace evm::server;
@@ -72,6 +86,12 @@ public:
     return Payload;
   }
 
+  /// One frame, or false once the server has closed the connection.
+  bool tryRecv(std::string &Payload) {
+    std::string Err;
+    return readFrame(Fd, Payload, Err) == FrameStatus::Ok;
+  }
+
   /// Serial request/response.
   std::string roundTrip(const std::string &Payload) {
     EXPECT_TRUE(send(Payload));
@@ -104,6 +124,40 @@ ServerConfig baseConfig(const std::string &Tag) {
   ::unlink(C.SocketPath.c_str());
   return C;
 }
+
+std::mutex HoldMutex;
+std::condition_variable HoldCV;
+bool Holding = false;
+
+void waitWhileHeld() {
+  std::unique_lock<std::mutex> L(HoldMutex);
+  HoldCV.wait(L, [] { return !Holding; });
+}
+
+/// Holds every lane before it runs its next request until release().
+/// Declare it after the server, so an early test exit releases the lanes
+/// before the server's destructor drains them.
+class LaneHold {
+public:
+  LaneHold() {
+    setHolding(true);
+    setLaneHoldHook(waitWhileHeld);
+  }
+  ~LaneHold() {
+    release();
+    setLaneHoldHook(nullptr);
+  }
+  void release() { setHolding(false); }
+
+private:
+  static void setHolding(bool On) {
+    {
+      std::lock_guard<std::mutex> L(HoldMutex);
+      Holding = On;
+    }
+    HoldCV.notify_all();
+  }
+};
 
 } // namespace
 
@@ -152,8 +206,6 @@ TEST(PredictionServerTest, SerialStreamMatchesBatchByteForByte) {
   ServerConfig C = baseConfig("pin");
   C.Seed = Seed;
   C.Experiment = Exp;
-  C.BatchSize = 3; // batching knobs must not affect a serial stream
-  C.BatchDeadlineMicros = 200;
   PredictionServer Server(C);
   ASSERT_TRUE(Server.start()) << Server.error();
   {
@@ -183,31 +235,33 @@ TEST(PredictionServerTest, PipelinedFloodGetsExplicitRejections) {
   ServerConfig C = baseConfig("flood");
   C.MaxQueue = 2;
   C.MaxInflightPerClient = 1;
-  C.BatchDeadlineMicros = 50000; // hold batches so the flood piles up
-  C.BatchSize = 64;
   C.CaptureDecisions = true;
   PredictionServer Server(C);
   ASSERT_TRUE(Server.start()) << Server.error();
+  LaneHold Hold;
 
-  size_t NumOk = 0, NumRejected = 0;
+  const size_t N = 8;
+  size_t NumRejected = 0;
   {
     TestClient Client(C.SocketPath);
-    const size_t N = 8;
-    // Pipeline: send everything before reading anything.  With a
-    // per-client cap of 1, most must come back "rejected".
+    // Pipeline: send everything before reading anything.  The held first
+    // request fills the per-client cap of 1, so the other seven come back
+    // "rejected", in order, before it is answered.
     for (size_t I = 0; I != N; ++I)
       ASSERT_TRUE(Client.send(renderRunInputRequest(I + 1, "route", 0)));
-    for (size_t I = 0; I != N; ++I) {
-      std::string Status = statusOf(Client.recv());
-      if (Status == "ok")
-        ++NumOk;
-      else if (Status == "rejected")
+    for (size_t I = 1; I != N; ++I) {
+      std::string Response = Client.recv();
+      EXPECT_EQ(u64Of(Response, "id"), I + 1);
+      if (statusOf(Response) == "rejected" &&
+          Response.find("client_inflight") != std::string::npos)
         ++NumRejected;
     }
+    Hold.release();
+    std::string First = Client.recv();
+    EXPECT_EQ(statusOf(First), "ok");
+    EXPECT_EQ(u64Of(First, "id"), 1u);
   }
-  EXPECT_GE(NumOk, 1u);
-  EXPECT_GE(NumRejected, 1u);
-  EXPECT_EQ(NumOk + NumRejected, 8u);
+  EXPECT_EQ(NumRejected, N - 1);
   EXPECT_EQ(Server.drainAndWait(), 0);
 
   // Rejections leave ledger records with the `rejected` verdict and the
@@ -263,11 +317,10 @@ TEST(PredictionServerTest, DrainAnswersEveryAdmittedRequest) {
 
   ServerConfig C = baseConfig("drain");
   C.StoreDir = StoreDir;
-  C.BatchDeadlineMicros = 20000; // likely still queued when drain begins
-  C.BatchSize = 64;
   C.MaxInflightPerClient = 64;
   PredictionServer Server(C);
   ASSERT_TRUE(Server.start()) << Server.error();
+  LaneHold Hold;
 
   const size_t N = 6;
   size_t NumOk = 0;
@@ -276,16 +329,15 @@ TEST(PredictionServerTest, DrainAnswersEveryAdmittedRequest) {
     for (size_t I = 0; I != N; ++I)
       ASSERT_TRUE(
           Client.send(renderRunInputRequest(I + 1, "route", I % 4)));
-    // Wait until all N requests are admitted (they sit in the batcher —
-    // its deadline is far away), then drain: every admitted request must
-    // still be answered "ok".
-    for (int Spin = 0; Spin != 1000; ++Spin) {
-      if (Server.metricsSnapshot().counter("server.requests.run") >= N)
-        break;
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    }
-    ASSERT_GE(Server.metricsSnapshot().counter("server.requests.run"), N);
+    // The reader answers one connection's frames in order, and the held
+    // lane answers none yet, so a pong as the first reply proves all N
+    // requests were admitted.  Drain then begins with every one of them
+    // still queued, and each must still be answered "ok".
+    std::string Pong = Client.roundTrip(renderPingRequest(N + 1));
+    ASSERT_EQ(u64Of(Pong, "pong"), 1u) << Pong;
+    EXPECT_EQ(Server.metricsSnapshot().counter("server.requests.run"), N);
     Server.requestDrain();
+    Hold.release();
     EXPECT_EQ(Server.drainAndWait(), 0);
     for (size_t I = 0; I != N; ++I)
       if (statusOf(Client.recv()) == "ok")
@@ -320,82 +372,128 @@ TEST(PredictionServerTest, RequestsAfterDrainAreRejectedAsDraining) {
   EXPECT_EQ(Server.drainAndWait(), 0);
 }
 
-//===----------------------------------------------------------------------===//
-// RequestBatcher
-//===----------------------------------------------------------------------===//
+TEST(PredictionServerTest, DrainDuringConcurrentFloodAnswersEveryOkOnce) {
+  // Drain shuts connections down while clients still write to them; those
+  // writes fail by design and must not raise SIGPIPE in this process.
+  std::signal(SIGPIPE, SIG_IGN);
+  ServerConfig C = baseConfig("flood_drain");
+  C.MaxInflightPerClient = 4;
+  const size_t Window = C.MaxInflightPerClient;
+  PredictionServer Server(C);
+  ASSERT_TRUE(Server.start()) << Server.error();
 
-namespace {
+  // Four clients on two apps, each keeping Window requests in flight until
+  // drain closes its connection.  A client counts its ok replies by id;
+  // rejections only free a slot.  Once drain has begun, a client can only
+  // be served requests it was already waiting for, at most Window of them
+  // (LateOk).  It stops sending past that, so a server that keeps
+  // admitting during drain fails the check below instead of never
+  // finishing its drain.
+  const size_t NumClients = 4;
+  std::atomic<bool> DrainBegun{false};
+  std::vector<std::atomic<uint64_t>> OkReplies(NumClients);
+  std::vector<uint64_t> LateOk(NumClients, 0), Duplicates(NumClients, 0),
+      Unsent(NumClients, 0);
+  std::vector<std::thread> Clients;
+  for (size_t K = 0; K != NumClients; ++K)
+    Clients.emplace_back([&, K] {
+      TestClient Client(C.SocketPath);
+      std::string App = "route:" + std::to_string(K % 2);
+      std::set<uint64_t> Outstanding, Answered;
+      uint64_t NextId = 1;
+      bool Writable = true;
+      while (true) {
+        while (Writable && Outstanding.size() < Window &&
+               LateOk[K] <= Window) {
+          Writable =
+              Client.send(renderRunInputRequest(NextId, App, NextId % 4));
+          if (Writable)
+            Outstanding.insert(NextId++);
+        }
+        std::string Reply;
+        if (!Client.tryRecv(Reply))
+          break; // drain shut the connection down
+        uint64_t Id = u64Of(Reply, "id");
+        if (statusOf(Reply) == "ok") {
+          Unsent[K] += Outstanding.count(Id) == 0;
+          Duplicates[K] += !Answered.insert(Id).second;
+          LateOk[K] += DrainBegun.load();
+          OkReplies[K].fetch_add(1);
+        }
+        Outstanding.erase(Id);
+      }
+    });
 
-BatchItem makeItem(uint64_t Id) {
-  BatchItem Item;
-  Item.Id = Id;
-  Item.Req.App = "route";
-  Item.Req.HasInput = true;
-  Item.Req.Input = 0;
-  Item.Enqueued = std::chrono::steady_clock::now();
-  return Item;
-}
+  // Drain once every client has had a few requests served.
+  auto Until = std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  for (size_t K = 0; K != NumClients; ++K)
+    while (OkReplies[K].load() < 3 &&
+           std::chrono::steady_clock::now() < Until)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  Server.requestDrain();
+  DrainBegun = true;
+  EXPECT_EQ(Server.drainAndWait(), 0);
+  for (std::thread &T : Clients)
+    T.join();
 
-} // namespace
+  MetricsSnapshot M = Server.metricsSnapshot();
+  uint64_t Rejected = 0;
+  for (const char *Reason :
+       {"overload", "client_inflight", "draining", "lanes"})
+    Rejected += M.counter(std::string("server.rejected.") + Reason);
+  uint64_t Ok = M.counter("server.responses.ok");
+  EXPECT_EQ(M.counter("server.requests.run"),
+            Ok + M.counter("server.responses.error") + Rejected);
+  EXPECT_EQ(M.counter("server.responses.error"), 0u);
 
-TEST(RequestBatcherTest, FlushesOnBatchSize) {
-  std::mutex M;
-  std::condition_variable CV;
-  std::vector<std::pair<size_t, RequestBatcher::FlushReason>> Flushes;
-  RequestBatcher B(
-      {/*BatchSize=*/3, /*DeadlineMicros=*/60 * 1000 * 1000},
-      [&](std::vector<BatchItem> Items, RequestBatcher::FlushReason R) {
-        std::lock_guard<std::mutex> L(M);
-        Flushes.emplace_back(Items.size(), R);
-        CV.notify_all();
-      });
-  for (uint64_t I = 0; I != 3; ++I)
-    ASSERT_TRUE(B.submit(makeItem(I)));
-  {
-    std::unique_lock<std::mutex> L(M);
-    ASSERT_TRUE(CV.wait_for(L, std::chrono::seconds(30),
-                            [&] { return !Flushes.empty(); }));
-    EXPECT_EQ(Flushes[0].first, 3u);
-    EXPECT_EQ(Flushes[0].second, RequestBatcher::FlushReason::Size);
+  // Lanes finish before the connections are shut down, so every ok reply
+  // reached its client, exactly once and for a request it sent.
+  uint64_t ClientOk = 0;
+  for (size_t K = 0; K != NumClients; ++K) {
+    EXPECT_GE(OkReplies[K].load(), 3u) << "client " << K;
+    EXPECT_LE(LateOk[K], Window) << "client " << K << " served after drain";
+    EXPECT_EQ(Duplicates[K], 0u) << "client " << K;
+    EXPECT_EQ(Unsent[K], 0u) << "client " << K;
+    ClientOk += OkReplies[K].load();
   }
-  EXPECT_EQ(B.sizeFlushes(), 1u);
-  B.drain();
-  EXPECT_FALSE(B.submit(makeItem(9))); // post-drain submits are refused
+  EXPECT_EQ(ClientOk, Ok);
 }
 
-TEST(RequestBatcherTest, FlushesOnDeadlineForShortBatches) {
-  std::mutex M;
-  std::condition_variable CV;
-  size_t FlushedItems = 0;
-  RequestBatcher B(
-      {/*BatchSize=*/100, /*DeadlineMicros=*/2000},
-      [&](std::vector<BatchItem> Items, RequestBatcher::FlushReason R) {
-        std::lock_guard<std::mutex> L(M);
-        FlushedItems += Items.size();
-        EXPECT_EQ(R, RequestBatcher::FlushReason::Deadline);
-        CV.notify_all();
-      });
-  ASSERT_TRUE(B.submit(makeItem(1)));
-  std::unique_lock<std::mutex> L(M);
-  ASSERT_TRUE(CV.wait_for(L, std::chrono::seconds(30),
-                          [&] { return FlushedItems == 1; }));
-  EXPECT_GE(B.deadlineFlushes(), 1u);
-}
+TEST(EvmServedTest, SigtermRightAfterReadinessDrainsCleanly) {
+  // The socket file is evm-served's readiness signal, and it appears at
+  // bind, inside start().  A supervisor that stops the daemon the moment
+  // it sees the file must still get a graceful drain: exit 0, socket file
+  // removed.
+  std::string Socket = tempPath("sigterm.sock");
+  std::string SocketArg = "--socket=" + Socket;
+  for (int Try = 0; Try != 50; ++Try) {
+    ::unlink(Socket.c_str());
+    char *Argv[] = {const_cast<char *>(EVM_SERVED_PATH), SocketArg.data(),
+                    nullptr};
+    posix_spawn_file_actions_t FA;
+    posix_spawn_file_actions_init(&FA);
+    posix_spawn_file_actions_addopen(&FA, 2, "/dev/null", O_WRONLY, 0);
+    pid_t Pid = -1;
+    int SpawnRc =
+        posix_spawn(&Pid, EVM_SERVED_PATH, &FA, nullptr, Argv, environ);
+    posix_spawn_file_actions_destroy(&FA);
+    ASSERT_EQ(SpawnRc, 0) << std::strerror(SpawnRc);
 
-TEST(RequestBatcherTest, DrainFlushesEverythingPending) {
-  size_t Flushed = 0;
-  {
-    RequestBatcher B(
-        {/*BatchSize=*/100, /*DeadlineMicros=*/60 * 1000 * 1000},
-        [&](std::vector<BatchItem> Items, RequestBatcher::FlushReason) {
-          Flushed += Items.size();
-        });
-    for (uint64_t I = 0; I != 5; ++I)
-      ASSERT_TRUE(B.submit(makeItem(I)));
-    B.drain(); // must hand all 5 to the callback before returning
-    EXPECT_EQ(Flushed, 5u);
+    struct stat St;
+    auto Until = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (::stat(Socket.c_str(), &St) != 0 &&
+           std::chrono::steady_clock::now() < Until) {
+    }
+    ::kill(Pid, SIGTERM);
+    int Status = 0;
+    while (::waitpid(Pid, &Status, 0) < 0 && errno == EINTR) {
+    }
+    ASSERT_TRUE(WIFEXITED(Status))
+        << "try " << Try << ": killed by signal " << WTERMSIG(Status);
+    ASSERT_EQ(WEXITSTATUS(Status), 0) << "try " << Try;
+    ASSERT_NE(::stat(Socket.c_str(), &St), 0)
+        << "try " << Try << ": socket file left behind";
   }
-  EXPECT_EQ(Flushed, 5u);
 }
 
 //===----------------------------------------------------------------------===//

@@ -62,15 +62,31 @@ void runTracedScenario(std::string &JsonlOut, std::string &MetricsOut) {
                   std::to_string(M.Compiles) + ";";
 }
 
+struct TracedScenario {
+  std::string Jsonl, Metrics;
+};
+
+/// The traced scenario, replayed once per test binary and shared by every
+/// test that only reads it.
+const TracedScenario &sharedScenario() {
+  static const TracedScenario Shared = [] {
+    TracedScenario S;
+    runTracedScenario(S.Jsonl, S.Metrics);
+    return S;
+  }();
+  return Shared;
+}
+
 } // namespace
 
 TEST(Trace, IdenticalRunsProduceByteIdenticalTraces) {
-  std::string JsonlA, MetricsA, JsonlB, MetricsB;
-  runTracedScenario(JsonlA, MetricsA);
-  runTracedScenario(JsonlB, MetricsB);
-  ASSERT_FALSE(JsonlA.empty());
-  EXPECT_EQ(JsonlA, JsonlB);
-  EXPECT_EQ(MetricsA, MetricsB);
+  // A fresh, independent replay must match the shared one byte for byte.
+  std::string Jsonl, Metrics;
+  runTracedScenario(Jsonl, Metrics);
+  const TracedScenario &Shared = sharedScenario();
+  ASSERT_FALSE(Shared.Jsonl.empty());
+  EXPECT_EQ(Jsonl, Shared.Jsonl);
+  EXPECT_EQ(Metrics, Shared.Metrics);
 }
 
 TEST(Trace, TracingNeverChangesVirtualTime) {
@@ -110,8 +126,7 @@ TEST(Trace, EventKindNamesRoundTrip) {
 }
 
 TEST(Trace, JsonlSchemaRoundTrips) {
-  std::string Jsonl, Metrics;
-  runTracedScenario(Jsonl, Metrics);
+  const std::string &Jsonl = sharedScenario().Jsonl;
 
   // Parse every line back and re-render: a lossless round-trip proves the
   // schema carries the full event payload.
@@ -155,9 +170,6 @@ TEST(Trace, JsonlSchemaRoundTrips) {
 }
 
 TEST(Trace, ChromeExportCarriesPerfettoStructure) {
-  std::string Jsonl, Metrics;
-  runTracedScenario(Jsonl, Metrics);
-
   wl::Workload W = wl::buildWorkload("Mtrt", Seed);
   harness::ExperimentConfig C;
   C.Seed = Seed;
@@ -185,10 +197,7 @@ TEST(Trace, ChromeExportCarriesPerfettoStructure) {
 }
 
 TEST(Trace, AnalysisReportsRenderFromRealTrace) {
-  std::string Jsonl, Metrics;
-  runTracedScenario(Jsonl, Metrics);
-
-  auto Parsed = parseJsonlTrace(Jsonl);
+  auto Parsed = parseJsonlTrace(sharedScenario().Jsonl);
   ASSERT_TRUE(static_cast<bool>(Parsed)) << Parsed.getError().message();
   // 8 Evolve runs plus the traced default-baseline measurement runs the
   // scenario runner performs for each distinct input.
@@ -236,9 +245,7 @@ TEST(TraceAnalysis, EmptyTraceParsesAndRendersHeaders) {
 TEST(TraceAnalysis, ZeroCompileEventsDegradeGracefully) {
   // Strip every compile.* event from a real trace: the accounting report
   // must show empty pipelines, not crash or misattribute.
-  std::string Jsonl, Metrics;
-  runTracedScenario(Jsonl, Metrics);
-  auto Parsed = parseJsonlTrace(Jsonl);
+  auto Parsed = parseJsonlTrace(sharedScenario().Jsonl);
   ASSERT_TRUE(static_cast<bool>(Parsed));
 
   std::vector<TraceEvent> Kept;
@@ -269,8 +276,7 @@ TEST(TraceAnalysis, ZeroCompileEventsDegradeGracefully) {
 }
 
 TEST(TraceAnalysis, TruncatedJsonlFailsWithLineNumber) {
-  std::string Jsonl, Metrics;
-  runTracedScenario(Jsonl, Metrics);
+  const std::string &Jsonl = sharedScenario().Jsonl;
   // Cut mid-way through the third line: the parser must reject the
   // partial object and name the line, not silently drop the tail.
   size_t FirstNl = Jsonl.find('\n');

@@ -21,6 +21,7 @@
 #include "support/ArgParse.h"
 #include "support/BuildInfo.h"
 
+#include <atomic>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -33,9 +34,12 @@ using namespace evm;
 
 namespace {
 
-volatile std::sig_atomic_t StopRequested = 0;
+/// The handler may run on any of the daemon's threads, so the flag is a
+/// lock-free atomic (async-signal-safe), not a volatile sig_atomic_t.
+std::atomic<bool> StopRequested{false};
+static_assert(std::atomic<bool>::is_always_lock_free);
 
-void onSignal(int) { StopRequested = 1; }
+void onSignal(int) { StopRequested = true; }
 
 bool writeFile(const std::string &Path, const std::string &Text) {
   std::ofstream Stream(Path, std::ios::binary);
@@ -59,10 +63,6 @@ void printUsage(const char *Argv0, std::FILE *To) {
       "                        stores here (fleet-compatible layout; omit\n"
       "                        for a memory-only service)\n"
       "  --lanes=N             max distinct app lanes (default 8)\n"
-      "  --batch=N             flush batches at N requests (default 4)\n"
-      "  --deadline-us=N       flush the oldest request after N\n"
-      "                        microseconds even if the batch is short\n"
-      "                        (default 1000)\n"
       "  --max-queue=N         admitted-but-unanswered bound; beyond it\n"
       "                        requests get explicit 'overload' rejections\n"
       "                        (default 256)\n"
@@ -83,8 +83,8 @@ void printUsage(const char *Argv0, std::FILE *To) {
 int main(int argc, char **argv) {
   server::ServerConfig Config;
   std::string MetricsOut, DecisionsOut;
-  int64_t Lanes = 8, Batch = 4, DeadlineUs = 1000, MaxQueue = 256;
-  int64_t MaxInflight = 64, CheckpointEvery = 0, Seed = 1;
+  int64_t Lanes = 8, MaxQueue = 256, MaxInflight = 64, CheckpointEvery = 0;
+  int64_t Seed = 1;
 
   for (int I = 1; I != argc; ++I) {
     std::string Arg = argv[I];
@@ -109,13 +109,6 @@ int main(int argc, char **argv) {
         return ExitUsage;
     } else if (matchValueFlag(Arg, "--lanes", argc, argv, I, Val, HasVal)) {
       if (!parseIntOption("--lanes", Val, HasVal, 1, Lanes))
-        return ExitUsage;
-    } else if (matchValueFlag(Arg, "--batch", argc, argv, I, Val, HasVal)) {
-      if (!parseIntOption("--batch", Val, HasVal, 1, Batch))
-        return ExitUsage;
-    } else if (matchValueFlag(Arg, "--deadline-us", argc, argv, I, Val,
-                              HasVal)) {
-      if (!parseIntOption("--deadline-us", Val, HasVal, 0, DeadlineUs))
         return ExitUsage;
     } else if (matchValueFlag(Arg, "--max-queue", argc, argv, I, Val,
                               HasVal)) {
@@ -157,13 +150,16 @@ int main(int argc, char **argv) {
 
   Config.Seed = static_cast<uint64_t>(Seed);
   Config.MaxLanes = static_cast<size_t>(Lanes);
-  Config.BatchSize = static_cast<size_t>(Batch);
-  Config.BatchDeadlineMicros = static_cast<uint64_t>(DeadlineUs);
   Config.MaxQueue = static_cast<size_t>(MaxQueue);
   Config.MaxInflightPerClient = static_cast<size_t>(MaxInflight);
   Config.CheckpointEvery = static_cast<size_t>(CheckpointEvery);
   Config.CaptureDecisions = !DecisionsOut.empty();
 
+  // Before start(): the socket file appears at bind, inside start(), and
+  // a supervisor may stop the daemon the moment it sees the file.
+  std::signal(SIGTERM, onSignal);
+  std::signal(SIGINT, onSignal);
+  std::signal(SIGPIPE, SIG_IGN); // client hangups surface as write errors
   server::PredictionServer Server(Config);
   if (!Server.start()) {
     std::fprintf(stderr, "error: %s\n", Server.error().c_str());
@@ -172,9 +168,6 @@ int main(int argc, char **argv) {
   std::fprintf(stderr, "evm-served: listening on %s (pid %d)\n",
                Config.SocketPath.c_str(), static_cast<int>(getpid()));
 
-  std::signal(SIGTERM, onSignal);
-  std::signal(SIGINT, onSignal);
-  std::signal(SIGPIPE, SIG_IGN); // client hangups surface as write errors
   while (!StopRequested)
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
 

@@ -76,7 +76,7 @@ echo "fleet threads-matrix smoke: OK (${THREADS[*]})"
 # Daemon smoke cell: boot the real evm-served, drive it with evm_cli
 # --connect, SIGTERM it, and require a clean graceful drain — exit 0 and a
 # final global store that evm-store validate accepts.  Under the TSan lane
-# this exercises the whole serving stack (reader threads, batcher, lanes,
+# this exercises the whole serving stack (reader threads, lane FIFOs,
 # gateway folds) against the race detector.
 SERVED="$BUILD_DIR/tools/evm-served"
 STORE_TOOL="$BUILD_DIR/tools/evm-store"
@@ -88,7 +88,6 @@ fi
 SOCK="$WORK/served.sock"
 SERVE_DIR="$WORK/served-store"
 "$SERVED" --socket "$SOCK" --store-dir "$SERVE_DIR" \
-  --batch 2 --deadline-us 500 \
   --decisions-out "$WORK/served.decisions.jsonl" \
   > "$WORK/served.log" 2>&1 &
 SERVED_PID=$!
