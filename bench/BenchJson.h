@@ -17,9 +17,8 @@
 /// as a "series" array: raw samples plus the support/Stats.h steady-state
 /// analysis (changepoints, classification, steady mean with bootstrap CI)
 /// that tools/bench-compare gates interval-aware and tools/evm-warmup
-/// reports on.  The google-benchmark binaries instead map the flag onto
-/// the library's own --benchmark_out JSON.  bench/run_all.sh aggregates
-/// all of these into BENCH_results.json.
+/// reports on.  bench/run_all.sh aggregates all of these into
+/// BENCH_results.json.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -117,20 +116,6 @@ inline bool writeBenchJson(const std::string &Path, const std::string &Name,
   return true;
 }
 
-/// Sibling path for a google-benchmark wall-clock document written next to
-/// our own --json document: "dir/name.json" -> "dir/name_wall.json"
-/// (bench/run_all.sh aggregates it under the "<name>_wall" key).
-inline std::string wallJsonPath(const std::string &JsonPath) {
-  if (JsonPath.empty())
-    return "";
-  const std::string Suffix = ".json";
-  if (JsonPath.size() > Suffix.size() &&
-      JsonPath.compare(JsonPath.size() - Suffix.size(), Suffix.size(),
-                       Suffix) == 0)
-    return JsonPath.substr(0, JsonPath.size() - Suffix.size()) + "_wall.json";
-  return JsonPath + "_wall.json";
-}
-
 /// Sibling path for a decision-ledger JSONL document written next to a
 /// bench's --json document: "dir/name.json" -> "dir/name_decisions.jsonl"
 /// (input of tools/evm-explain; bench/run_all.sh --check replays its
@@ -145,30 +130,6 @@ inline std::string decisionsJsonlPath(const std::string &JsonPath) {
     return JsonPath.substr(0, JsonPath.size() - Suffix.size()) +
            "_decisions.jsonl";
   return JsonPath + "_decisions.jsonl";
-}
-
-/// For google-benchmark binaries: rewrites `--json=PATH` into the
-/// library's `--benchmark_out=PATH --benchmark_out_format=json` pair.
-/// \p Storage owns the rewritten strings; \p NewArgv is what to hand to
-/// benchmark::Initialize.
-inline void rewriteJsonFlagForGBench(int argc, char **argv,
-                                     std::vector<std::string> &Storage,
-                                     std::vector<char *> &NewArgv) {
-  Storage.clear();
-  Storage.reserve(static_cast<size_t>(argc) + 1);
-  Storage.push_back(argv[0]);
-  for (int I = 1; I < argc; ++I) {
-    std::string Arg = argv[I];
-    if (Arg.rfind("--json=", 0) == 0) {
-      Storage.push_back("--benchmark_out=" + Arg.substr(7));
-      Storage.push_back("--benchmark_out_format=json");
-    } else {
-      Storage.push_back(Arg);
-    }
-  }
-  NewArgv.clear();
-  for (std::string &S : Storage)
-    NewArgv.push_back(S.data());
 }
 
 } // namespace benchjson

@@ -2,8 +2,8 @@
 //
 // The calibration behind TimingModel::expectedSpeedup (the "compiler DNA"):
 // for each workload's hottest kernels, measure steady-state virtual-cycle
-// speedup of O0/O1/O2 over baseline, static IR shrinkage, and compile
-// cost.  Also host-time microbenchmarks of compileAtLevel itself.
+// speedup of O0/O1/O2 over baseline and static IR shrinkage.  --json also
+// records Mtrt's Evolve warmup series.
 //
 //===----------------------------------------------------------------------===//
 
@@ -13,10 +13,7 @@
 #include "support/Table.h"
 #include "vm/Engine.h"
 #include "vm/jit/Compiler.h"
-#include "vm/jit/Lowering.h"
 #include "workloads/Workload.h"
-
-#include <benchmark/benchmark.h>
 
 #include <cstdio>
 
@@ -119,25 +116,6 @@ benchjson::BenchSeries evolveWarmupSeries(size_t Runs) {
   return S;
 }
 
-/// Host-time cost of running the optimizing pipelines.
-void BM_CompileAtLevel(benchmark::State &State) {
-  static wl::Workload W = wl::buildWorkload("Mtrt", 20090301);
-  vm::OptLevel L = vm::levelFromIndex(static_cast<int>(State.range(0)));
-  for (auto _ : State) {
-    for (bc::MethodId Id = 0; Id != W.Module.numFunctions(); ++Id)
-      benchmark::DoNotOptimize(vm::jit::compileAtLevel(W.Module, Id, L));
-  }
-}
-BENCHMARK(BM_CompileAtLevel)->Arg(1)->Arg(2)->Arg(3);
-
-void BM_LowerToIR(benchmark::State &State) {
-  static wl::Workload W = wl::buildWorkload("Mtrt", 20090301);
-  for (auto _ : State)
-    for (bc::MethodId Id = 0; Id != W.Module.numFunctions(); ++Id)
-      benchmark::DoNotOptimize(vm::jit::lowerToIR(W.Module, Id));
-}
-BENCHMARK(BM_LowerToIR);
-
 } // namespace
 
 int main(int argc, char **argv) {
@@ -148,7 +126,5 @@ int main(int argc, char **argv) {
   if (!benchjson::writeBenchJson(JsonPath, "jit_levels", 20090301,
                                  Metrics.snapshot(), nullptr, &Series))
     return 2;
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

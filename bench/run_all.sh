@@ -16,10 +16,11 @@
 # type, host, cores, timestamp) which bench-compare prints in its header;
 # provenance never gates, it only records what was measured where.
 #
-# FULL=1 additionally runs the long benches (fig10 over all workloads and
-# the google-benchmark microbenchmark suites — their wall-clock timings are
-# not deterministic, so they never gate); the default set is the
-# virtual-clock deterministic one and finishes in a few minutes.
+# FULL=1 additionally runs fig10 over all workloads and the JIT level
+# calibration (bench_jit_levels); the default set finishes in a few
+# minutes.  Every bench here runs on the virtual clock except bench_fleet's
+# thread-scaling speedup; host time end to end is perfbench's job
+# (BENCHMARK.json).
 set -eu
 
 SCRIPT_DIR="$(CDPATH= cd -- "$(dirname -- "$0")" && pwd)"
@@ -41,55 +42,20 @@ if [ ! -d "$BENCH_DIR" ]; then
 fi
 mkdir -p "$OUT_DIR"
 
-# name:binary:extra-args; the microbenchmarks get tiny repetition counts —
-# the JSON is for regression diffing, not timing precision.  The default
-# set holds only deterministic virtual-clock benches, so everything under
-# "benches" is byte-stable run to run; only the "provenance" header (and,
-# under FULL=1, the wall-clock documents) varies.
-DEFAULT_BENCHES="
-table1:bench_table1:
-fig8:bench_fig8:
-fig9:bench_fig9:
-overhead:bench_overhead:
-sensitivity:bench_sensitivity:
-ablation:bench_ablation:
-crossrun:bench_crossrun:
-fleet:bench_fleet:
-openworld:bench_openworld:
-serve:bench_serve:
-"
-FULL_BENCHES="
-fig10:bench_fig10:
-jit_levels:bench_jit_levels:--benchmark_min_time=0.01
-vm_micro:bench_vm_micro:--benchmark_min_time=0.01
-xicl:bench_xicl:--benchmark_min_time=0.01
-ml:bench_ml:--benchmark_min_time=0.01
-"
-
-BENCHES="$DEFAULT_BENCHES"
+# Every bench binary is bench_<name>.  Everything under "benches" is
+# byte-stable run to run except bench_fleet's speedup gauge; the
+# "provenance" header varies by design.
+BENCHES="table1 fig8 fig9 overhead sensitivity ablation crossrun fleet
+openworld serve"
 if [ "${FULL:-0}" = "1" ]; then
-  BENCHES="$DEFAULT_BENCHES$FULL_BENCHES"
+  BENCHES="$BENCHES fig10 jit_levels"
 else
-  echo "(FULL=1 adds fig10 and the microbenchmark suites)"
+  echo "(FULL=1 adds fig10 and jit_levels)"
 fi
 
-NAMES=""
-for Spec in $BENCHES; do
-  Name="${Spec%%:*}"
-  Rest="${Spec#*:}"
-  Bin="${Rest%%:*}"
-  Args="${Rest#*:}"
-  echo "== $Name ($Bin) =="
-  # shellcheck disable=SC2086 # Args is intentionally word-split
-  "$BENCH_DIR/$Bin" --json="$OUT_DIR/$Name.json" $Args \
-    > "$OUT_DIR/$Name.txt"
-  NAMES="$NAMES $Name"
-  # google-benchmark binaries also drop a wall-clock sibling document
-  # ("<name>_wall.json"); aggregate it under "<name>_wall" so
-  # bench-compare can gate wall time interval-aware.
-  if [ -f "$OUT_DIR/${Name}_wall.json" ]; then
-    NAMES="$NAMES ${Name}_wall"
-  fi
+for Name in $BENCHES; do
+  echo "== $Name (bench_$Name) =="
+  "$BENCH_DIR/bench_$Name" --json="$OUT_DIR/$Name.json" > "$OUT_DIR/$Name.txt"
 done
 
 # Provenance: recorded in the aggregate and echoed by bench-compare's
@@ -131,7 +97,7 @@ RESULTS="$OUT_DIR/BENCH_results.json"
 {
   printf '{"provenance":%s,"benches":{' "$PROVENANCE"
   First=1
-  for Name in $NAMES; do
+  for Name in $BENCHES; do
     [ "$First" = 1 ] || printf ','
     First=0
     printf '"%s":' "$Name"

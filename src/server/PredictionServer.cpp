@@ -59,6 +59,12 @@ bool PredictionServer::start() {
     Err = "no socket path configured";
     return false;
   }
+  // requestDrain writes a byte here to wake the accept loop; drainAndWait
+  // closes both ends.
+  if (::pipe(WakePipe) != 0) {
+    Err = formatString("pipe: %s", std::strerror(errno));
+    return false;
+  }
   Gateway = std::make_unique<StoreGateway>(C.StoreDir);
   if (!C.StoreDir.empty() && Gateway->dir().empty()) {
     Err = "cannot create store directory " + C.StoreDir;
@@ -102,14 +108,21 @@ bool PredictionServer::start() {
   return true;
 }
 
-void PredictionServer::requestDrain() { Draining = true; }
+void PredictionServer::requestDrain() {
+  // Only the first call writes, so no write can race drainAndWait's close.
+  if (!Draining.exchange(true) && WakePipe[1] >= 0) {
+    char Byte = 0;
+    while (::write(WakePipe[1], &Byte, 1) < 0 && errno == EINTR) {
+    }
+  }
+}
 
 int PredictionServer::drainAndWait() {
   if (Drained.load())
     return 0;
   requestDrain();
 
-  // 1. Stop accepting.  The accept loop polls Draining every 100ms.
+  // 1. Stop accepting.  requestDrain has woken the accept loop.
   if (AcceptThread.joinable())
     AcceptThread.join();
   if (ListenFd >= 0) {
@@ -117,6 +130,11 @@ int PredictionServer::drainAndWait() {
     ListenFd = -1;
     ::unlink(C.SocketPath.c_str());
   }
+  for (int &Fd : WakePipe)
+    if (Fd >= 0) {
+      ::close(Fd);
+      Fd = -1;
+    }
 
   // 2. Stop admission.  Readers push onto a lane, or create one, only under
   // LanesMutex and only while Draining is unset, so once the lanes are
@@ -195,18 +213,14 @@ std::vector<DecisionRecord> PredictionServer::decisions() const {
 //===----------------------------------------------------------------------===//
 
 void PredictionServer::acceptLoop() {
+  pollfd P[2] = {{ListenFd, POLLIN, 0}, {WakePipe[0], POLLIN, 0}};
   while (!Draining.load()) {
-    pollfd P;
-    P.fd = ListenFd;
-    P.events = POLLIN;
-    P.revents = 0;
-    int R = ::poll(&P, 1, 100);
-    if (R < 0) {
-      if (errno == EINTR)
-        continue;
+    // No timeout: a connection or requestDrain's byte wakes the poll.
+    int R = ::poll(P, 2, -1);
+    if (R < 0 && errno != EINTR)
       break;
-    }
-    if (R == 0)
+    // Re-checked before accept, so accept never blocks once drain has begun.
+    if (R <= 0 || !(P[0].revents & POLLIN) || Draining.load())
       continue;
     int Fd = ::accept(ListenFd, nullptr, nullptr);
     if (Fd < 0)
@@ -438,9 +452,12 @@ void PredictionServer::laneMain(Lane &L) {
         Ok = true;
       }
     }
-    Item.Client->send(Response);
+    // Release the request's admission slots before the reply goes out: a
+    // client that sends its next request the moment it reads this reply
+    // must find its slot free.
     Metrics.add(Ok ? "server.responses.ok" : "server.responses.error");
     finishItem(Item);
+    Item.Client->send(Response);
 
     if (Ok) {
       ++RunsSince;

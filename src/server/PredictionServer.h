@@ -37,13 +37,13 @@
 ///
 /// Observability: server.* metrics in a thread-safe MetricsRegistry —
 /// request/response counters, rejection counters by reason, and a
-/// request-latency histogram (host microseconds, admission to response;
-/// P50/P99 via the registry's percentile summaries).  Like fleet mode,
-/// engine-level trace recording stays detached on the serving hot path:
-/// concurrent lanes interleaving into one recorder would destroy
-/// append-order determinism.  Latencies are host time and therefore live
-/// only in metrics, never in response payloads — responses stay pure
-/// functions of the run records.
+/// request-latency histogram (host microseconds, from admission until the
+/// response is ready to send; P50/P99 via the registry's percentile
+/// summaries).  Like fleet mode, engine-level trace recording stays
+/// detached on the serving hot path: concurrent lanes interleaving into one
+/// recorder would destroy append-order determinism.  Latencies are host
+/// time and therefore live only in metrics, never in response payloads —
+/// responses stay pure functions of the run records.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -98,8 +98,8 @@ private:
 };
 
 /// One admitted run request on its lane's FIFO: what to run, whom to
-/// answer, and when it was admitted (the latency histogram measures
-/// admission-to-response).
+/// answer, and when it was admitted (the latency histogram measures from
+/// admission until the response is ready to send).
 struct QueuedRequest {
   RunRequest Req;
   uint64_t Id = 0;
@@ -204,6 +204,8 @@ private:
   ServerConfig C;
   std::string Err;
   int ListenFd = -1;
+  /// Self-pipe that wakes the accept loop's poll on drain.
+  int WakePipe[2] = {-1, -1};
   std::atomic<bool> Running{false};
   std::atomic<bool> Draining{false};
   std::atomic<bool> Drained{false};

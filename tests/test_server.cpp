@@ -276,6 +276,31 @@ TEST(PredictionServerTest, PipelinedFloodGetsExplicitRejections) {
   EXPECT_EQ(LedgerRejected, NumRejected);
 }
 
+TEST(PredictionServerTest, BackToBackRoundTripsAtCapOneAreNeverRejected) {
+  // A lane releases a request's admission slots before it sends the reply,
+  // so a client that sends its next request the moment it reads a reply
+  // holds at most one request on the server, even with both caps at one.
+  // Fop's input 4 is one of the cheapest runs (100 of them take about
+  // 20 ms at -O2), which keeps the test short under TSan.
+  ServerConfig C = baseConfig("cap_one");
+  C.MaxQueue = 1;
+  C.MaxInflightPerClient = 1;
+  PredictionServer Server(C);
+  ASSERT_TRUE(Server.start()) << Server.error();
+  {
+    TestClient Client(C.SocketPath);
+    for (uint64_t I = 1; I <= 100; ++I) {
+      std::string Response =
+          Client.roundTrip(renderRunInputRequest(I, "Fop", 4));
+      ASSERT_EQ(statusOf(Response), "ok") << "request " << I << ": "
+                                          << Response;
+    }
+  }
+  EXPECT_EQ(Server.drainAndWait(), 0);
+  EXPECT_EQ(Server.metricsSnapshot().renderJson().find("\"server.rejected."),
+            std::string::npos);
+}
+
 TEST(PredictionServerTest, UnknownAppIsAnErrorNotADrop) {
   ServerConfig C = baseConfig("unknown");
   PredictionServer Server(C);
@@ -384,11 +409,11 @@ TEST(PredictionServerTest, DrainDuringConcurrentFloodAnswersEveryOkOnce) {
 
   // Four clients on two apps, each keeping Window requests in flight until
   // drain closes its connection.  A client counts its ok replies by id;
-  // rejections only free a slot.  Once drain has begun, a client can only
-  // be served requests it was already waiting for, at most Window of them
-  // (LateOk).  It stops sending past that, so a server that keeps
-  // admitting during drain fails the check below instead of never
-  // finishing its drain.
+  // "draining" rejections only free a slot.  Once drain has begun, a
+  // client can only be served requests it was already waiting for, at
+  // most Window of them (LateOk).  It stops sending past that, so a server
+  // that keeps admitting during drain fails the check below instead of
+  // never finishing its drain.
   const size_t NumClients = 4;
   std::atomic<bool> DrainBegun{false};
   std::vector<std::atomic<uint64_t>> OkReplies(NumClients);
@@ -445,6 +470,11 @@ TEST(PredictionServerTest, DrainDuringConcurrentFloodAnswersEveryOkOnce) {
   EXPECT_EQ(M.counter("server.requests.run"),
             Ok + M.counter("server.responses.error") + Rejected);
   EXPECT_EQ(M.counter("server.responses.error"), 0u);
+  // A request whose reply its client has read has released its slots, so a
+  // client that sends only with fewer than Window requests unanswered is
+  // below every cap when the server admits it.  Only drain may reject.
+  EXPECT_EQ(M.counter("server.rejected.client_inflight"), 0u);
+  EXPECT_EQ(M.counter("server.rejected.overload"), 0u);
 
   // Lanes finish before the connections are shut down, so every ok reply
   // reached its client, exactly once and for a request it sent.

@@ -21,25 +21,16 @@
 #include "support/ArgParse.h"
 #include "support/BuildInfo.h"
 
-#include <atomic>
-#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <fstream>
-#include <thread>
 
+#include <pthread.h>
 #include <unistd.h>
 
 using namespace evm;
 
 namespace {
-
-/// The handler may run on any of the daemon's threads, so the flag is a
-/// lock-free atomic (async-signal-safe), not a volatile sig_atomic_t.
-std::atomic<bool> StopRequested{false};
-static_assert(std::atomic<bool>::is_always_lock_free);
-
-void onSignal(int) { StopRequested = true; }
 
 bool writeFile(const std::string &Path, const std::string &Text) {
   std::ofstream Stream(Path, std::ios::binary);
@@ -155,10 +146,15 @@ int main(int argc, char **argv) {
   Config.CheckpointEvery = static_cast<size_t>(CheckpointEvery);
   Config.CaptureDecisions = !DecisionsOut.empty();
 
-  // Before start(): the socket file appears at bind, inside start(), and
-  // a supervisor may stop the daemon the moment it sees the file.
-  std::signal(SIGTERM, onSignal);
-  std::signal(SIGINT, onSignal);
+  // Block SIGTERM and SIGINT before start(), so every server thread
+  // inherits the mask and the signal stays pending until sigwait below
+  // takes it.  The socket file appears at bind, inside start(), and a
+  // supervisor may stop the daemon the moment it sees the file.
+  sigset_t StopSignals;
+  sigemptyset(&StopSignals);
+  sigaddset(&StopSignals, SIGTERM);
+  sigaddset(&StopSignals, SIGINT);
+  pthread_sigmask(SIG_BLOCK, &StopSignals, nullptr);
   std::signal(SIGPIPE, SIG_IGN); // client hangups surface as write errors
   server::PredictionServer Server(Config);
   if (!Server.start()) {
@@ -168,8 +164,8 @@ int main(int argc, char **argv) {
   std::fprintf(stderr, "evm-served: listening on %s (pid %d)\n",
                Config.SocketPath.c_str(), static_cast<int>(getpid()));
 
-  while (!StopRequested)
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  int Signal = 0;
+  sigwait(&StopSignals, &Signal);
 
   std::fprintf(stderr, "evm-served: draining\n");
   Server.requestDrain();
