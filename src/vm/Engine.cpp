@@ -39,7 +39,9 @@ uint64_t irInstrCost(const jit::IRInstr &I) {
 
 /// Dispatch codes of the compiled-code executor.  Binary and Unary slots
 /// dispatch on their bc::Opcode; the other IR operations take the codes
-/// after it.
+/// after it.  The fused codes follow: a slot whose next slot in the same
+/// block consumes its result takes one, and its case runs the next slot
+/// too when that slot's own cost takes the fast path (see fusedCode).
 enum SlotCode : uint8_t {
   SlotMovImm = bc::NumOpcodes,
   SlotMov,
@@ -50,7 +52,65 @@ enum SlotCode : uint8_t {
   SlotJump,
   SlotCondJump,
   SlotRet,
+  SlotMovJump,  ///< a Mov, then the block's closing Jump
+  SlotAddHLoad, ///< an Add, then an HLoad of its result
+  /// An operator, then a Mov of its result (and the block's closing Jump).
+#define EVM_FUSED_CODES(OP) Slot##OP##Mov, Slot##OP##MovJump,
+  EVM_BINARY_OPS(EVM_FUSED_CODES) EVM_UNARY_OPS(EVM_FUSED_CODES)
+#undef EVM_FUSED_CODES
+  /// A compare, then a CondJump on its result.
+#define EVM_FUSED_CODES(OP) Slot##OP##CondJump,
+  EVM_COMPARE_OPS(EVM_FUSED_CODES)
+#undef EVM_FUSED_CODES
 };
+
+/// The dispatch code of IR instruction \p X, whose own code is \p Own, when
+/// \p Y and then \p Z follow it in its block (null past the block's end).
+/// X fuses with Y when Y consumes X's result (Y.A == X.Dest): an operator
+/// with a Mov (and the Jump closing the block after it), a compare with a
+/// CondJump, an Add with an HLoad; and a Mov fuses with the closing Jump.
+/// Both slots lie in one block, so no jump lands between them.  A Call
+/// never fuses: its callee's cycles land between it and the next slot.
+uint8_t fusedCode(uint8_t Own, const jit::IRInstr &X, const jit::IRInstr *Y,
+                  const jit::IRInstr *Z) {
+  using jit::IROp;
+  if (!Y)
+    return Own;
+  if (X.Op == IROp::Mov && Y->Op == IROp::Jump)
+    return SlotMovJump;
+  if ((X.Op != IROp::Binary && X.Op != IROp::Unary) || Y->A != X.Dest)
+    return Own;
+  bool ThenJump = Z && Z->Op == IROp::Jump;
+  switch (Y->Op) {
+  case IROp::Mov:
+    switch (X.ScalarOp) {
+#define EVM_FUSED_CASE(OP)                                                   \
+  case Opcode::OP:                                                           \
+    return ThenJump ? Slot##OP##MovJump : Slot##OP##Mov;
+      EVM_BINARY_OPS(EVM_FUSED_CASE)
+      EVM_UNARY_OPS(EVM_FUSED_CASE)
+#undef EVM_FUSED_CASE
+    default:
+      return Own;
+    }
+  case IROp::CondJump:
+    switch (X.ScalarOp) {
+#define EVM_FUSED_CASE(OP)                                                   \
+  case Opcode::OP:                                                           \
+    return Slot##OP##CondJump;
+      EVM_COMPARE_OPS(EVM_FUSED_CASE)
+#undef EVM_FUSED_CASE
+    default:
+      return Own;
+    }
+  case IROp::HLoad:
+    if (X.ScalarOp == Opcode::Add)
+      return SlotAddHLoad;
+    return Own;
+  default:
+    return Own;
+  }
+}
 
 /// Phase-frame names per optimizing level (stable string literals).
 const char *jitExecPhase(OptLevel L) {
@@ -138,7 +198,9 @@ ExecutionEngine::lower(const jit::CompiledFunction &Code,
   }
   L->Slots.reserve(NumSlots);
   for (const jit::IRBlock &B : F.Blocks) {
-    for (const jit::IRInstr &I : B.Instrs) {
+    const size_t N = B.Instrs.size();
+    for (size_t K = 0; K != N; ++K) {
+      const jit::IRInstr &I = B.Instrs[K];
       Slot S{TM.CompiledDispatchCycles + irInstrCost(I), I.Dest, I.A, I.B, 0,
              0};
       switch (I.Op) {
@@ -184,6 +246,8 @@ ExecutionEngine::lower(const jit::CompiledFunction &Code,
         S.Code = SlotRet;
         break;
       }
+      S.Code = fusedCode(S.Code, I, K + 1 < N ? &B.Instrs[K + 1] : nullptr,
+                         K + 2 < N ? &B.Instrs[K + 2] : nullptr);
       L->Slots.push_back(S);
     }
   }
@@ -630,25 +694,81 @@ std::optional<Value> ExecutionEngine::executeCompiled(MethodId Id,
     }
 
     switch (S->Code) {
-      // One case per operator, each evaluating with a constant opcode.
-#define EVM_EVAL_CASE(OP, EVAL)                                              \
+      // Each operator has its own case and fused cases, each evaluating
+      // with a constant opcode into V.  A fused case runs its first slot
+      // as the operator's own case does, then each later slot only when
+      // that slot's own cost takes the fast path; otherwise it goes back
+      // to the loop top, which repeats the test on the same Now and Limit
+      // and so charges that slot the slow way, exactly as without fusion.
+      // The later slots read the first slot's result from V.
+#define EVM_EVAL_FIRST(EVAL)                                                 \
+  std::optional<Value> V = EVAL;                                             \
+  if (!V)                                                                    \
+    return Trapped(Trap);                                                    \
+  R[S->Dest] = *V;                                                           \
+  ++S
+#define EVM_FAST_CHARGE_OR_BREAK                                             \
+  if (Now + S->Cost < Limit)                                                 \
+    Now += S->Cost;                                                          \
+  else                                                                       \
+    break
+#define EVM_EVAL_CASES(OP, EVAL)                                             \
   case static_cast<uint8_t>(Opcode::OP): {                                   \
-    std::optional<Value> V = EVAL;                                           \
-    if (!V)                                                                  \
-      return Trapped(Trap);                                                  \
+    EVM_EVAL_FIRST(EVAL);                                                    \
+    break;                                                                   \
+  }                                                                          \
+  case Slot##OP##Mov: {                                                      \
+    EVM_EVAL_FIRST(EVAL);                                                    \
+    EVM_FAST_CHARGE_OR_BREAK;                                                \
     R[S->Dest] = *V;                                                         \
     ++S;                                                                     \
     break;                                                                   \
+  }                                                                          \
+  case Slot##OP##MovJump: {                                                  \
+    EVM_EVAL_FIRST(EVAL);                                                    \
+    EVM_FAST_CHARGE_OR_BREAK;                                                \
+    R[S->Dest] = *V;                                                         \
+    ++S;                                                                     \
+    EVM_FAST_CHARGE_OR_BREAK;                                                \
+    S = Slots + S->A;                                                        \
+    break;                                                                   \
   }
-#define EVM_BINARY_CASE(OP)                                                  \
-  EVM_EVAL_CASE(OP, evalBinary(Opcode::OP, R[S->A], R[S->B], Trap))
-#define EVM_UNARY_CASE(OP)                                                   \
-  EVM_EVAL_CASE(OP, evalUnary(Opcode::OP, R[S->A], Trap))
-      EVM_BINARY_OPS(EVM_BINARY_CASE)
-      EVM_UNARY_OPS(EVM_UNARY_CASE)
-#undef EVM_UNARY_CASE
-#undef EVM_BINARY_CASE
-#undef EVM_EVAL_CASE
+#define EVM_BINARY_CASES(OP)                                                 \
+  EVM_EVAL_CASES(OP, evalBinary(Opcode::OP, R[S->A], R[S->B], Trap))
+#define EVM_UNARY_CASES(OP)                                                  \
+  EVM_EVAL_CASES(OP, evalUnary(Opcode::OP, R[S->A], Trap))
+#define EVM_COMPARE_CASE(OP)                                                 \
+  case Slot##OP##CondJump: {                                                 \
+    EVM_EVAL_FIRST(evalBinary(Opcode::OP, R[S->A], R[S->B], Trap));          \
+    EVM_FAST_CHARGE_OR_BREAK;                                                \
+    S = Slots + (V->isTruthy() ? S->B : S->C);                               \
+    break;                                                                   \
+  }
+      EVM_BINARY_OPS(EVM_BINARY_CASES)
+      EVM_UNARY_OPS(EVM_UNARY_CASES)
+      EVM_COMPARE_OPS(EVM_COMPARE_CASE)
+    case SlotAddHLoad: {
+      EVM_EVAL_FIRST(evalBinary(Opcode::Add, R[S->A], R[S->B], Trap));
+      EVM_FAST_CHARGE_OR_BREAK;
+      std::optional<Value> Loaded = TheHeap.load(toInt64(*V), Trap);
+      if (!Loaded)
+        return Trapped(Trap);
+      R[S->Dest] = *Loaded;
+      ++S;
+      break;
+    }
+    case SlotMovJump:
+      R[S->Dest] = R[S->A];
+      ++S;
+      EVM_FAST_CHARGE_OR_BREAK;
+      S = Slots + S->A;
+      break;
+#undef EVM_COMPARE_CASE
+#undef EVM_UNARY_CASES
+#undef EVM_BINARY_CASES
+#undef EVM_EVAL_CASES
+#undef EVM_FAST_CHARGE_OR_BREAK
+#undef EVM_EVAL_FIRST
     case SlotMovImm:
       R[S->Dest] = Code.Imms[S->A];
       ++S;

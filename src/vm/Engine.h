@@ -9,7 +9,9 @@
 /// baseline methods are interpreted, optimized methods execute their
 /// compiled code; the two tiers interoperate at call boundaries.  Compiled
 /// code is lowered into a flat array of predecoded slots that one switch
-/// executes, with frames on a grow-only register arena.  Each (method,
+/// executes, with frames on a grow-only register arena.  A slot whose next
+/// slot in its block consumes its result dispatches once for both, while
+/// each slot keeps its own cost and charge point.  Each (method,
 /// optimizing level) is compiled and lowered once per engine, at its first
 /// install, and reused by every later install in any run; each install
 /// still charges the level's modeled compile cost, so reuse moves no
@@ -118,9 +120,11 @@ private:
     MethodStats Stats;
   };
 
-  /// Lowers \p Code into slots: jump targets become slot indices and each
-  /// slot carries its full charge under \p TM.  \p Passes is the compile's
-  /// pass work, kept for the profiler's split of each install's cost.
+  /// Lowers \p Code into slots: jump targets become slot indices, each
+  /// slot carries its full charge under \p TM, and a slot whose next slot
+  /// consumes its result gets a fused dispatch code.  \p Passes is the
+  /// compile's pass work, kept for the profiler's split of each install's
+  /// cost.
   static std::shared_ptr<const LoweredCode>
   lower(const jit::CompiledFunction &Code, std::vector<jit::PassWork> Passes,
         const TimingModel &TM);
@@ -132,8 +136,8 @@ private:
   /// The bytecode interpreter: one switch per instruction.
   std::optional<bc::Value> interpret(bc::MethodId Id, const bc::Value *Args,
                                      int Depth);
-  /// The compiled-code executor: one switch per slot, the frame on the
-  /// register arena.
+  /// The compiled-code executor: one switch per slot or fused pair or
+  /// triple of slots, the frame on the register arena.
   std::optional<bc::Value> executeCompiled(bc::MethodId Id,
                                            const LoweredCode &Code,
                                            const bc::Value *Args, int Depth);

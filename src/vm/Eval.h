@@ -11,9 +11,11 @@
 /// case (promotion, division by zero, float-only intrinsics) by
 /// construction — the invariant the JIT correctness property tests assert.
 ///
-/// Everything is inline: the compiled-code executor has one case per
-/// operator and calls evalBinary/evalUnary with a constant opcode, so the
-/// compiler folds the operator switch away in each case.
+/// Everything is inline: each of the compiled-code executor's cases that
+/// evaluates an operator (the operator's own case, and each fused case
+/// that runs it before the slot consuming its result) calls
+/// evalBinary/evalUnary with a constant opcode, so the compiler folds the
+/// operator switch away in each case.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -48,10 +50,13 @@ const char *trapKindName(TrapKind Kind);
 
 /// The operators evalBinary and evalUnary handle, as X-macro lists: the
 /// predicates below and the compiled-code executor's per-operator cases
-/// expand them.
+/// and fused dispatch codes expand them.  EVM_COMPARE_OPS, the binary
+/// operators that produce int 0/1, is the sublist whose result a CondJump
+/// may test in the same dispatch.
+#define EVM_COMPARE_OPS(X) X(Eq) X(Ne) X(Lt) X(Le) X(Gt) X(Ge)
 #define EVM_BINARY_OPS(X)                                                    \
   X(Add) X(Sub) X(Mul) X(Div) X(Mod) X(And) X(Or) X(Xor) X(Shl) X(Shr)       \
-  X(Eq) X(Ne) X(Lt) X(Le) X(Gt) X(Ge) X(Min) X(Max)
+  EVM_COMPARE_OPS(X) X(Min) X(Max)
 #define EVM_UNARY_OPS(X)                                                     \
   X(Neg) X(Not) X(I2F) X(F2I) X(Sqrt) X(Sin) X(Cos) X(Floor) X(Abs)
 

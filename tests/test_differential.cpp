@@ -489,6 +489,107 @@ TEST(Differential, CompiledTierAccountingPinned) {
   }
 }
 
+TEST(Differential, FusedSlotBoundariesPinned) {
+  // The compiled-code executor runs some adjacent slots in one dispatch
+  // (an operator and the Mov, CondJump, HLoad or Jump that consumes it,
+  // a Mov and its Jump), while each slot keeps its own cost.  A fuel
+  // trap or a sample tick must still land between the same two slots as
+  // when every slot had its own dispatch.  Each module below runs with
+  // every method pinned at O1 and then at O2 (no compile lumps, so every
+  // cycle is compiled execution): fenced at each of its last 2,000
+  // cycles (profiled, since a trap returns only its message), and traced
+  // at sample intervals 7, 11 and 13 at every phase, so that fences and
+  // ticks land between the halves of every fused pair.  The modules were
+  // chosen because, between them, their pinned runs execute every fused
+  // shape at both levels, and a compare fused with its CondJump for each
+  // of the six compares.  The digests were recorded before fusion, with
+  // one slot per dispatch.
+  struct Case {
+    bool Generated; ///< a generated workload, else a fuzzer module
+    uint64_t Seed;
+    int64_t Input; ///< fuzzer: main's argument; workload: input index
+  };
+  static const Case Cases[] = {
+      {true, 20090301, 0},   {true, 20090311, 0},   {true, 20090313, 15},
+      {true, 20090314, 15},  {true, 20090316, 0},   {true, 20090317, 15},
+      {false, 20090303, 3},  {false, 20090314, 0},  {false, 20090330, 0},
+      {false, 20090339, 0},  {false, 20090354, 0},  {false, 20090357, 0},
+      {false, 20090373, 0},  {false, 20090427, 0},  {false, 20090432, 0},
+      {false, 20090458, 0},  {false, 20090473, 3},
+  };
+  static const uint64_t Pinned[2 * std::size(Cases)] = {
+      0x9ac54b0179f3035dULL, 0x135dde3c21d72f33ULL, 0xddcb4557ec82273eULL,
+      0xc3886b78128895beULL, 0x2b3836a5a1242e0aULL, 0x3278de752c546cf0ULL,
+      0x53e0fba8c0a0bb43ULL, 0x1d87dbe17a1be894ULL, 0x27573d8d79b212b7ULL,
+      0x3bd24ac6c73ba8b8ULL, 0x1ce0bf47ed2158a1ULL, 0xd192d4ef0e7f776bULL,
+      0x3f1a055c73329ad7ULL, 0xe0eb4b73eacf11a4ULL, 0x58959ce7476538b7ULL,
+      0x56dab35dbc1884cfULL, 0xd90dfdf7df8be24aULL, 0x01c3f3d68a1c4a1dULL,
+      0x803fcf5788b3fa81ULL, 0xef750f9996c89b39ULL, 0x8f464677f5cb34f7ULL,
+      0x344a2130fa072c69ULL, 0x1eddb1ea4c0628faULL, 0xe9bcb271f4d39fa2ULL,
+      0xdfb49d731dc40fc0ULL, 0x081a736eec940febULL, 0x809905d05eb82374ULL,
+      0x78361b595435e3b7ULL, 0xfdb8041601a2ef7cULL, 0xb51f9bd586d5b0adULL,
+      0x3a888108fc8c475dULL, 0x7d35ec4412a4a3abULL, 0x6ee7e0a5df6a5c0aULL,
+      0xcb4e8cfd02b3a03eULL
+  };
+  constexpr uint64_t NumFences = 2000;
+  std::vector<uint64_t> Got;
+  for (const Case &C : Cases) {
+    bc::Module M;
+    std::vector<bc::Value> Args;
+    if (C.Generated) {
+      auto G = wl::generateWorkload(workloadSpec(C.Seed));
+      ASSERT_TRUE(static_cast<bool>(G)) << G.getError().message();
+      M = G->W.Module;
+      Args = G->W.Inputs[static_cast<size_t>(C.Input)].VmArgs;
+    } else {
+      auto MOrErr = wl::generateRandomProgram(C.Seed);
+      ASSERT_TRUE(static_cast<bool>(MOrErr)) << "seed=" << C.Seed;
+      M = *MOrErr;
+      Args = {bc::Value::makeInt(C.Input)};
+    }
+    for (OptLevel L : {OptLevel::O1, OptLevel::O2}) {
+      auto pinnedEngine = [&](const TimingModel &TM) {
+        auto E = std::make_unique<ExecutionEngine>(M, TM, nullptr);
+        for (bc::MethodId Id = 0; Id != M.numFunctions(); ++Id)
+          E->setCodeOverride(Id, std::make_shared<jit::CompiledFunction>(
+                                     jit::compileAtLevel(M, Id, L)));
+        return E;
+      };
+      Fingerprint FP;
+      TimingModel TM;
+      std::unique_ptr<ExecutionEngine> E = pinnedEngine(TM);
+      ErrorOr<RunResult> Full = E->run(Args, MaxCycles);
+      ASSERT_TRUE(static_cast<bool>(Full)) << Full.getError().message();
+      FP.run(Full, M, nullptr, nullptr);
+      uint64_t Cycles = Full->Cycles;
+      for (uint64_t Fence = Cycles - std::min(Cycles, NumFences);
+           Fence != Cycles; ++Fence) {
+        PhaseProfiler Prof;
+        ProfilerInstallGuard Guard(&Prof);
+        FP.run(E->run(Args, Fence), M, nullptr, &Prof);
+      }
+      for (uint64_t Interval : {7, 11, 13}) {
+        TimingModel Sampled;
+        Sampled.SampleIntervalCycles = Interval;
+        std::unique_ptr<ExecutionEngine> ES = pinnedEngine(Sampled);
+        for (uint64_t Phase = 0; Phase != Interval; ++Phase) {
+          TraceRecorder Tracer;
+          Tracer.setEnabled(true);
+          ES->setTracer(&Tracer);
+          FP.run(ES->run(Args, MaxCycles, 0, Phase), M, &Tracer, nullptr);
+        }
+      }
+      Got.push_back(FP.digest());
+    }
+  }
+  for (size_t K = 0; K != Got.size(); ++K) {
+    const Case &C = Cases[K / 2];
+    EXPECT_EQ(Got[K], Pinned[K])
+        << (C.Generated ? "genseed=" : "seed=") << C.Seed
+        << " input=" << C.Input << " O" << 1 + K % 2;
+  }
+}
+
 TEST(Differential, ReusedCodeMatchesFreshCompile) {
   // An engine compiles and lowers each (method, level) once and reuses the
   // code in every later install, in the same run or a later one, while
